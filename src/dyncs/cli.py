@@ -25,8 +25,8 @@ from . import metrics as qm
 from . import pipeline as pl
 from .recon import (ReconConfig, export_attention, init_recon_params,
                     load_checkpoint, recon_forward, save_checkpoint)
-from .trajectory import (PhysicsConfig, Trajectory, export_trajectory,
-                         kinematic_bounds, load_trajectory)
+from .trajectory import (PhysicsConfig, export_trajectory, kinematic_bounds,
+                         load_trajectory)
 
 
 class UsageError(ValueError):
@@ -49,30 +49,19 @@ def _write_manifest(run_dir, command, config, input_hashes):
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _write_history(path, history):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "stage", "train_loss", "val_loss",
-                         "max_constraint_violation"])
-        for row in history:
-            writer.writerow([row["epoch"], row["stage"],
-                             format(row["train_loss"], ".17g"),
-                             format(row["val_loss"], ".17g"),
-                             format(row["max_violation"], ".17g")])
-
-
-def _append_history(path, history):
-    existing = []
-    if Path(path).exists():
+def _write_history(path, history, keep_stage=None):
+    """Write history.csv. With `keep_stage`, the rows of that stage already
+    in the file come first and every other old row is dropped, so rerunning a
+    later stage replaces its rows instead of appending a second block."""
+    kept = []
+    if keep_stage is not None and Path(path).exists():
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            existing = list(reader)
+            kept = [row for row in list(csv.reader(fh))[1:] if row[1] == keep_stage]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "stage", "train_loss", "val_loss",
                          "max_constraint_violation"])
-        writer.writerows(existing)
+        writer.writerows(kept)
         for row in history:
             writer.writerow([row["epoch"], row["stage"],
                              format(row["train_loss"], ".17g"),
@@ -207,7 +196,7 @@ def cmd_refine(args):
     save_checkpoint(run_dir / "checkpoint_refined", rcfg, result.params)
     export_trajectory(result.trajectory, run_dir / "traj_refined",
                       kinematic_bounds(pcfg))
-    _append_history(run_dir / "history.csv", result.history)
+    _write_history(run_dir / "history.csv", result.history, keep_stage="main")
     (run_dir / "mu_stats.json").write_text(json.dumps(
         {"mu_x": stats.mu_x, "mode": mu_mode, "lambda_ref": args.lambda_ref}))
     print(f"refined run in {run_dir} (mu_X = {stats.mu_x:.6g})")

@@ -9,9 +9,7 @@ a 0..255 range, where the published constants of VIF and FSIM live).
 from __future__ import annotations
 
 import csv
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -254,7 +252,3 @@ def write_transition_csv(mu, k, path):
         writer.writerow(["index", "mu", "is_transition"])
         for i, v in enumerate(mu):
             writer.writerow([i, format(v, ".17g"), int(i in marks)])
-
-
-def write_metric_report(report, path):
-    Path(path).write_text(json.dumps(report, indent=2))

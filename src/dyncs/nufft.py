@@ -1,8 +1,13 @@
 """Exact type-2 nonuniform DFT between image frames and arbitrary k-space coords.
 
-The transform is evaluated as a direct double sum (dense matrix-vector
-products), which at desk scale is fast, exactly linear in the image and
-exactly differentiable in the sample coordinates. Conventions:
+The direct double sum is evaluated through the exact separable factorization
+
+    exp(-i (kx*x + ky*y)) = exp(-i kx*x) * exp(-i ky*y),
+
+so each call builds per-axis phase tables [T, S*m, H] and [T, S*m, W] from
+its coordinates and contracts the image against them, batched over frames.
+The result is exactly linear in the image and exactly differentiable in the
+sample coordinates, and no state is kept between calls. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
   * image indices are centered: x in {-H//2, ..., H - H//2 - 1}, y likewise;
@@ -15,8 +20,6 @@ Cartesian frequency grid.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .autodiff import AutodiffError, Tensor
@@ -24,12 +27,6 @@ from .autodiff import AutodiffError, Tensor
 
 def _centered_axes(h, w):
     return np.arange(h) - h // 2, np.arange(w) - w // 2
-
-
-def _flat_grid(h, w):
-    xs, ys = _centered_axes(h, w)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    return gx.ravel().astype(np.float64), gy.ravel().astype(np.float64)
 
 
 def _validate_coords(coords):
@@ -41,40 +38,26 @@ def _validate_coords(coords):
     return coords
 
 
-class _PhaseCache:
-    """Keeps exp(-i phase) matrices for recently seen coordinate sets.
-
-    Within one optimizer step the same trajectory is used by every batch
-    element, forward and adjoint, so this avoids rebuilding the matrix.
-    """
-
-    def __init__(self, capacity=4):
-        self.capacity = capacity
-        self._store = {}
-
-    def get(self, coords, h, w):
-        key = (hashlib.sha1(coords.tobytes()).hexdigest(), coords.shape, h, w)
-        hit = self._store.get(key)
-        if hit is not None:
-            return hit
-        gx, gy = _flat_grid(h, w)
-        flat = coords.reshape(-1, 2)
-        phase = np.outer(flat[:, 0], gx) + np.outer(flat[:, 1], gy)
-        e = np.exp(-1j * phase)  # [n_samples, H*W]
-        if len(self._store) >= self.capacity:
-            self._store.pop(next(iter(self._store)))
-        self._store[key] = e
-        return e
+def _phase_tables(coords, h, w):
+    """exp(-i kx*x) [T, S*m, H] and exp(-i ky*y) [T, S*m, W]."""
+    xs, ys = _centered_axes(h, w)
+    flat = coords.reshape(coords.shape[0], -1, 2)
+    ex = np.exp(-1j * (flat[..., 0, None] * xs))
+    ey = np.exp(-1j * (flat[..., 1, None] * ys))
+    return ex, ey
 
 
-_cache = _PhaseCache()
-
-
-def _per_frame_matrix(coords, t, h, w):
-    """exp(-i phase) for frame t, shape [S*m, H*W]."""
-    e = _cache.get(coords, h, w)
-    n = coords[0].size // 2
-    return e.reshape(coords.shape[0], n, h * w)[t]
+def _coord_grad(a, z, coords):
+    """Im(conj(a_j) * sum_{x,y} (x, y) z[t,x,y] exp(-i phase_j)) per sample,
+    shaped like coords: the coordinate gradient of both transforms, up to
+    the adjoint's 1/(H*W)."""
+    h, w = z.shape[1:]
+    xs, ys = _centered_axes(h, w)
+    ex, ey = _phase_tables(coords, h, w)
+    a = np.asarray(a, dtype=np.complex128).reshape(ex.shape[:2]).conj()
+    fx = ((ex * xs) @ z * ey).sum(-1)
+    fy = (ex @ z * ey) @ ys
+    return np.stack([np.imag(a * fx), np.imag(a * fy)], axis=-1).reshape(coords.shape)
 
 
 def nudft_forward(z, coords):
@@ -84,11 +67,8 @@ def nudft_forward(z, coords):
     t_frames, h, w = z.shape
     if coords.shape[0] != t_frames:
         raise AutodiffError(f"frame count mismatch: image {t_frames}, coords {coords.shape[0]}")
-    out = np.empty(coords.shape[:-1], dtype=np.complex128)
-    for t in range(t_frames):
-        e = _per_frame_matrix(coords, t, h, w)
-        out[t] = (e @ z[t].ravel()).reshape(coords.shape[1:-1])
-    return out
+    ex, ey = _phase_tables(coords, h, w)
+    return (ex @ z * ey).sum(-1).reshape(coords.shape[:-1])
 
 
 def nudft_adjoint(x, coords, out_shape):
@@ -98,11 +78,11 @@ def nudft_adjoint(x, coords, out_shape):
     t_frames, h, w = out_shape
     if x.shape != coords.shape[:-1]:
         raise AutodiffError(f"sample shape {x.shape} does not match coords {coords.shape[:-1]}")
-    out = np.empty((t_frames, h, w), dtype=np.complex128)
-    for t in range(t_frames):
-        e = _per_frame_matrix(coords, t, h, w)
-        out[t] = (e.conj().T @ x[t].ravel()).reshape(h, w) / (h * w)
-    return out
+    if coords.shape[0] != t_frames:
+        raise AutodiffError(f"frame count mismatch: image {t_frames}, coords {coords.shape[0]}")
+    ex, ey = _phase_tables(coords, h, w)
+    xf = x.reshape(t_frames, -1, 1)
+    return (ex.conj().swapaxes(1, 2) @ (xf * ey.conj())) / (h * w)
 
 
 def nudft_grad_coords(z, coords, upstream):
@@ -110,46 +90,23 @@ def nudft_grad_coords(z, coords, upstream):
 
     `upstream` is the complex adjoint sensitivity dL/dX (real and imaginary
     parts being the partials of the real loss). Uses
-    dX_j/dkx = sum (-i*x) z exp(-i phase) and grad = Re(conj(U) * dX/dk).
+    dX_j/dkx = sum (-i*x) z exp(-i phase) and grad = Re(conj(U) * dX/dk),
+    i.e. Im(conj(U) * sum x z exp(-i phase)).
     """
     z = np.asarray(z)
     coords = _validate_coords(coords)
-    upstream = np.asarray(upstream, dtype=np.complex128)
-    t_frames, h, w = z.shape
-    gx, gy = _flat_grid(h, w)
-    grad = np.zeros_like(coords)
-    for t in range(t_frames):
-        e = _per_frame_matrix(coords, t, h, w)
-        zf = z[t].ravel()
-        dx = e @ (-1j * gx * zf)
-        dy = e @ (-1j * gy * zf)
-        u = upstream[t].ravel().conj()
-        grad[t, ..., 0] = np.real(u * dx).reshape(coords.shape[1:-1])
-        grad[t, ..., 1] = np.real(u * dy).reshape(coords.shape[1:-1])
-    return grad
+    return _coord_grad(upstream, z, coords)
 
 
 def _adjoint_grad_coords(x, coords, upstream, out_shape):
     """Coordinate gradient through the (scaled) adjoint transform.
 
     z~ = 1/(HW) sum_j X_j e^{+i phase_j}; with complex upstream image G,
-    dL/dkx_j = 1/(HW) * Re( i X_j conj( forward(x*G)_j ) ).
+    dL/dkx_j = 1/(HW) * Re( i X_j conj( forward(x*G)_j ) )
+             = 1/(HW) * Im( conj(X_j) * forward(x*G)_j ).
     """
-    x = np.asarray(x, dtype=np.complex128)
-    upstream = np.asarray(upstream, dtype=np.complex128)
-    t_frames, h, w = out_shape
-    gx, gy = _flat_grid(h, w)
-    grad = np.zeros_like(coords)
-    scale = 1.0 / (h * w)
-    for t in range(t_frames):
-        e = _per_frame_matrix(coords, t, h, w)
-        g = upstream[t].ravel()
-        fx = e @ (gx * g)
-        fy = e @ (gy * g)
-        xf = x[t].ravel()
-        grad[t, ..., 0] = scale * np.real(1j * xf * fx.conj()).reshape(coords.shape[1:-1])
-        grad[t, ..., 1] = scale * np.real(1j * xf * fy.conj()).reshape(coords.shape[1:-1])
-    return grad
+    h, w = out_shape[1:]
+    return _coord_grad(x, np.asarray(upstream, dtype=np.complex128), coords) / (h * w)
 
 
 # -- autodiff nodes -----------------------------------------------------------

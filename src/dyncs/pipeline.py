@@ -5,7 +5,7 @@ temporal-derivative hinge penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +14,9 @@ from . import metrics as qm
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step
 from .nufft import nudft_adjoint_op, nudft_forward_op
 from .recon import ReconConfig, recon_forward
-from .trajectory import (KinematicBounds, PhysicsConfig, Trajectory,
-                         feasibility_report, init_golden_angle, init_radial,
-                         kinematic_bounds, project_kinematic)
+from .trajectory import (PhysicsConfig, Trajectory, feasibility_report,
+                         init_golden_angle, init_radial, kinematic_bounds,
+                         project_kinematic)
 
 
 class TrainingDiverged(RuntimeError):

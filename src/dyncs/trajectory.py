@@ -129,52 +129,28 @@ def init_golden_angle(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
     return Trajectory(coords)
 
 
-def _first_diff(c):
-    return c[1:] - c[:-1]
-
-
-def _second_diff(c):
-    return c[2:] - 2.0 * c[1:-1] + c[:-2]
-
-
-def _first_diff_t(q, m):
-    out = np.zeros((m, q.shape[-1]))
-    out[:-1] -= q
-    out[1:] += q
-    return out
-
-
-def _second_diff_t(q, m):
-    out = np.zeros((m, q.shape[-1]))
-    out[:-2] += q
-    out[1:-1] -= 2.0 * q
-    out[2:] += q
-    return out
-
-
-def _shot_violations(c, b):
-    v1 = np.linalg.norm(_first_diff(c), axis=-1) - b.alpha if len(c) >= 2 else None
-    v2 = np.linalg.norm(_second_diff(c), axis=-1) - b.beta if len(c) >= 3 else None
-    vmax = max(v1.max() if v1 is not None else -b.alpha,
-               v2.max() if v2 is not None else -b.beta)
-    return v1, v2, vmax
-
-
 def _block_shrink(u, radius):
     norms = np.linalg.norm(u, axis=-1, keepdims=True)
     scale = np.maximum(0.0, 1.0 - radius / np.maximum(norms, 1e-300))
     return u * scale
 
 
-def _batch_violation(c, b):
-    """Worst constraint violation over a batch of curves [B, m, 2]."""
-    v = -min(b.alpha, b.beta)
+def _kinematic_violations(c, b):
+    """(max velocity violation, max acceleration violation) over a batch of
+    curves [B, m, 2]; negative = slack, -alpha / -beta when a curve is too
+    short to have that difference."""
+    vel, acc = -b.alpha, -b.beta
     if c.shape[1] >= 2:
-        v = max(v, float((np.linalg.norm(c[:, 1:] - c[:, :-1], axis=-1) - b.alpha).max()))
+        vel = float((np.linalg.norm(c[:, 1:] - c[:, :-1], axis=-1) - b.alpha).max())
     if c.shape[1] >= 3:
         d2 = c[:, 2:] - 2.0 * c[:, 1:-1] + c[:, :-2]
-        v = max(v, float((np.linalg.norm(d2, axis=-1) - b.beta).max()))
-    return max(v, float(np.max(np.abs(c)) - np.pi))
+        acc = float((np.linalg.norm(d2, axis=-1) - b.beta).max())
+    return vel, acc
+
+
+def _batch_violation(c, b):
+    """Worst constraint violation over a batch of curves [B, m, 2]."""
+    return max(*_kinematic_violations(c, b), float(np.max(np.abs(c)) - np.pi))
 
 
 def _project_curves(c0, b, tol, max_iter):
@@ -253,15 +229,7 @@ def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8,
 
 def feasibility_report(k: Trajectory, b: KinematicBounds):
     """(max velocity violation, max acceleration violation); negative = slack."""
-    vel, acc = -b.alpha, -b.beta
-    for t in range(k.n_frames):
-        for s in range(k.n_shots):
-            c = k.coords[t, s]
-            if len(c) >= 2:
-                vel = max(vel, float((np.linalg.norm(_first_diff(c), axis=-1) - b.alpha).max()))
-            if len(c) >= 3:
-                acc = max(acc, float((np.linalg.norm(_second_diff(c), axis=-1) - b.beta).max()))
-    return vel, acc
+    return _kinematic_violations(k.coords.reshape(-1, k.n_points, 2), b)
 
 
 def stack_trajectories(k: Trajectory, total_frames: int) -> Trajectory:
@@ -301,13 +269,26 @@ def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read back an `export_trajectory` pair; every (frame, shot, index) row
+    must appear exactly once."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
-    coords = np.zeros((meta["n_frames"], meta["n_shots"], meta["points_per_shot"], 2))
+    shape = (meta["n_frames"], meta["n_shots"], meta["points_per_shot"])
+    coords = np.zeros(shape + (2,))
+    seen = np.zeros(shape, dtype=bool)
     with open(path.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
-            t, s, i = int(row[0]), int(row[1]), int(row[2])
-            coords[t, s, i] = (float(row[3]), float(row[4]))
+            idx = tuple(int(v) for v in row[:3])
+            if not all(0 <= i < n for i, n in zip(idx, shape)):
+                raise TrajectoryError(f"row (frame, shot, index) = {idx} outside {shape}")
+            if seen[idx]:
+                raise TrajectoryError(f"duplicate row (frame, shot, index) = {idx}")
+            seen[idx] = True
+            coords[idx] = (float(row[3]), float(row[4]))
+    if not seen.all():
+        first = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise TrajectoryError(f"{int((~seen).sum())} rows missing, first "
+                              f"(frame, shot, index) = {first}")
     return Trajectory(coords, learnable=meta.get("learnable", True))

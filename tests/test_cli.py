@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, manifests, determinism."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -94,6 +95,29 @@ def test_refine_appends_history_and_writes_artifacts(dataset, run_dir):
     assert "refine" in after
     for name in ("checkpoint_refined.json", "traj_refined.csv", "mu_stats.json"):
         assert (run_dir / name).exists()
+
+
+def test_second_refine_replaces_refine_rows(dataset, run_dir, tmp_path):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    for _ in range(2):
+        assert main(["refine", "--run", str(run), "--data", str(dataset),
+                     "--epochs-refine", "2"]) == 0
+    rows = (run / "history.csv").read_text().splitlines()[1:]
+    # epochs (1) main rows, then epochs_refine (2) rows of the last refine only
+    assert [row.split(",")[1] for row in rows] == ["main", "refine", "refine"]
+
+
+def test_eval_on_truncated_trajectory_fails(dataset, run_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    for traj_csv in run.glob("traj*.csv"):
+        lines = traj_csv.read_text().splitlines(keepends=True)
+        traj_csv.write_text("".join(lines[:-1]))
+    rc = main(["eval", "--run", str(run), "--data", str(dataset),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TrajectoryError"
 
 
 def test_stack_eval_at_k_equals_plain_eval(dataset, run_dir, tmp_path, capsys):

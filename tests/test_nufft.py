@@ -1,7 +1,10 @@
 """Tests for the exact nonuniform DFT, its adjoint and coordinate gradients."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncs import autodiff as ad
 from dyncs.autodiff import AutodiffError, Tensor
@@ -32,6 +35,11 @@ def _random_coords(rng, shape):
     return rng.uniform(-np.pi, np.pi, size=shape + (2,))
 
 
+# (T, H, W) for the oracle and gradient tests: a square single frame, and a
+# non-square multi-frame case in which an x/y or frame mix-up shows.
+SHAPES = ((1, 4, 4), (2, 5, 4))
+
+
 def test_impulse_at_centered_origin_gives_unit_samples():
     h = w = 6
     z = np.zeros((1, h, w))
@@ -50,10 +58,11 @@ def test_dc_sample_of_constant_image_is_grid_size():
 
 def test_forward_matches_loop_oracle():
     rng = np.random.default_rng(1)
-    z = rng.normal(size=(1, 4, 4))
-    coords = _random_coords(rng, (1, 1, 3))
-    out = nudft_forward(z, coords)
-    np.testing.assert_allclose(out, _forward_oracle(z, coords), atol=1e-12)
+    for t_frames, h, w in SHAPES:
+        z = rng.normal(size=(t_frames, h, w))
+        coords = _random_coords(rng, (t_frames, 1, 3))
+        out = nudft_forward(z, coords)
+        np.testing.assert_allclose(out, _forward_oracle(z, coords), atol=1e-12)
 
 
 def test_adjoint_of_scaled_dc_sample_is_constant_one():
@@ -73,6 +82,23 @@ def test_adjoint_inner_product_identity():
     lhs = np.vdot(nudft_forward(z, coords), x)
     rhs = np.vdot(z, h * w * nudft_adjoint(x, coords, (2, h, w)))
     assert abs(lhs - rhs) < 1e-10
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 7), st.integers(1, 7))
+def test_adjoint_identity_property(data, t_frames, shots, m, h, w):
+    """<A z, x> = <z, H*W * A^H x> over random sizes (H != W) and coordinates."""
+    if h == w:
+        w += 1
+    coords = data.draw(hnp.arrays(np.float64, (t_frames, shots, m, 2),
+                                  elements=st.floats(-np.pi, np.pi)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=(t_frames, h, w)) + 1j * rng.normal(size=(t_frames, h, w))
+    x = rng.normal(size=coords.shape[:-1]) + 1j * rng.normal(size=coords.shape[:-1])
+    lhs = np.vdot(nudft_forward(z, coords), x)
+    rhs = np.vdot(z, h * w * nudft_adjoint(x, coords, (t_frames, h, w)))
+    assert abs(lhs - rhs) <= 1e-13 * np.abs(z).sum() * np.abs(x).sum()
 
 
 def test_zero_samples_give_zero_image():
@@ -149,35 +175,38 @@ def test_zero_upstream_gives_zero_gradient():
 
 def test_forward_coord_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    z = rng.normal(size=(1, 4, 4))
-    coords0 = _random_coords(rng, (1, 1, 3)) * 0.9
-    seed = rng.normal(size=(2, 1, 1, 3))
+    for t_frames, h, w in SHAPES:
+        z = rng.normal(size=(t_frames, h, w))
+        coords0 = _random_coords(rng, (t_frames, 1, 3)) * 0.9
+        seed = rng.normal(size=(2, t_frames, 1, 3))
 
-    def f(c):
-        return (nudft_forward_op(z, c) * seed).sum()
+        def f(c):
+            return (nudft_forward_op(z, c) * seed).sum()
 
-    assert ad.grad_check(f, Tensor(coords0)) < 1e-5
+        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
 
 
 def test_adjoint_coord_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
-    x = rng.normal(size=(2, 1, 2, 3))
-    coords0 = _random_coords(rng, (1, 2, 3)) * 0.9
-    seed = rng.normal(size=(2, 1, 4, 4))
+    for t_frames, h, w in SHAPES:
+        x = rng.normal(size=(2, t_frames, 2, 3))
+        coords0 = _random_coords(rng, (t_frames, 2, 3)) * 0.9
+        seed = rng.normal(size=(2, t_frames, h, w))
 
-    def f(c):
-        return (nudft_adjoint_op(Tensor(x), c, (1, 4, 4)) * seed).sum()
+        def f(c):
+            return (nudft_adjoint_op(Tensor(x), c, (t_frames, h, w)) * seed).sum()
 
-    assert ad.grad_check(f, Tensor(coords0)) < 1e-5
+        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
 
 
 def test_forward_op_image_gradients_match_finite_differences():
     rng = np.random.default_rng(13)
-    z0 = rng.normal(size=(1, 4, 4))
-    coords = Tensor(_random_coords(rng, (1, 1, 3)))
-    seed = rng.normal(size=(2, 1, 1, 3))
+    for t_frames, h, w in SHAPES:
+        z0 = rng.normal(size=(t_frames, h, w))
+        coords = Tensor(_random_coords(rng, (t_frames, 1, 3)))
+        seed = rng.normal(size=(2, t_frames, 1, 3))
 
-    def f(z):
-        return (nudft_forward_op(z, coords) * seed).sum()
+        def f(z):
+            return (nudft_forward_op(z, coords) * seed).sum()
 
-    assert ad.grad_check(f, Tensor(z0)) < 1e-6
+        assert ad.grad_check(f, Tensor(z0)) < 1e-6

@@ -10,9 +10,10 @@ from dyncs.trajectory import (GOLDEN_ANGLE, KinematicBounds, PhysicsConfig,
                               project_kinematic, stack_trajectories)
 
 
-def _violations(coords, b):
-    """Independent audit of the per-sample difference-norm constraints."""
-    v1 = v2 = -max(b.alpha, b.beta)
+def _loop_report(coords, b):
+    """Independent per-shot audit of the difference-norm constraints:
+    (max velocity violation, max acceleration violation)."""
+    v1, v2 = -b.alpha, -b.beta
     for t in range(coords.shape[0]):
         for s in range(coords.shape[1]):
             c = coords[t, s]
@@ -21,7 +22,11 @@ def _violations(coords, b):
             if len(c) >= 3:
                 d2 = c[2:] - 2 * c[1:-1] + c[:-2]
                 v2 = max(v2, float((np.linalg.norm(d2, axis=-1) - b.beta).max()))
-    return max(v1, v2)
+    return v1, v2
+
+
+def _violations(coords, b):
+    return max(_loop_report(coords, b))
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -176,6 +181,14 @@ def test_report_vacuous_for_single_point_shots():
     assert vel == pytest.approx(-0.3) and acc == pytest.approx(-0.2)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 9])
+def test_report_equals_per_shot_loop(m):
+    rng = np.random.default_rng(m)
+    k = Trajectory(rng.uniform(-np.pi, np.pi, size=(3, 2, m, 2)))
+    b = KinematicBounds(alpha=0.4, beta=0.3)
+    assert feasibility_report(k, b) == _loop_report(k.coords, b)
+
+
 def test_report_nonpositive_after_projection():
     rng = np.random.default_rng(3)
     b = KinematicBounds(alpha=0.1, beta=0.05)
@@ -237,6 +250,42 @@ def test_export_contains_one_section_per_frame(tmp_path):
     frames = {int(r[0]) for r in rows}
     assert frames == set(range(8))
     assert len(rows) == 8 * 2 * 4
+
+
+def _export_rows(tmp_path):
+    import csv
+    export_trajectory(init_golden_angle(2, 2, 3), tmp_path / "traj")
+    with open(tmp_path / "traj.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_rows(tmp_path, rows):
+    import csv
+    with open(tmp_path / "traj.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_load_rejects_missing_rows(tmp_path):
+    rows = _export_rows(tmp_path)
+    _write_rows(tmp_path, rows[:-1])
+    with pytest.raises(TrajectoryError, match="missing"):
+        load_trajectory(tmp_path / "traj")
+
+
+def test_load_rejects_duplicate_rows(tmp_path):
+    rows = _export_rows(tmp_path)
+    _write_rows(tmp_path, rows + [rows[1]])
+    with pytest.raises(TrajectoryError, match="duplicate"):
+        load_trajectory(tmp_path / "traj")
+
+
+def test_load_rejects_negative_index(tmp_path):
+    rows = _export_rows(tmp_path)
+    last = rows[-1]
+    rows[-1] = ["-1"] + last[1:]  # would alias the last frame
+    _write_rows(tmp_path, rows)
+    with pytest.raises(TrajectoryError, match="outside"):
+        load_trajectory(tmp_path / "traj")
 
 
 def test_trajectory_invariants_enforced():
