@@ -96,11 +96,9 @@ def cmd_gen_data(args):
 
 
 def _train_configs(args, grid):
-    tcfg = pl.TrainConfig(epochs_main=args.epochs, epochs_refine=args.epochs_refine,
-                          lr_traj=args.lr_traj, lr_net=args.lr_net,
-                          batch=args.batch, lambda_ref=args.lambda_ref,
-                          seed=args.seed, frames_k=args.frames_k,
-                          mu_mode="signed" if args.signed_mu else "abs")
+    tcfg = pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
+                          lr_net=args.lr_net, batch=args.batch, seed=args.seed,
+                          frames_k=args.frames_k)
     pcfg = PhysicsConfig(grid=(grid, grid))
     window = tuple(int(v) for v in args.window.split(","))
     rcfg = ReconConfig(channels=args.channels, n_blocks=args.blocks,
@@ -325,9 +323,6 @@ def build_parser():
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--window", default="2,4,4")
-    p.add_argument("--epochs-refine", type=int, default=10)
-    p.add_argument("--lambda-ref", type=float, default=5.0)
-    p.add_argument("--signed-mu", action="store_true")
     p.add_argument("--config", help="JSON file overriding flags")
     p.set_defaults(func=cmd_train)
 

@@ -33,8 +33,8 @@ def _validate_coords(coords):
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim < 2 or coords.shape[-1] != 2:
         raise AutodiffError(f"coordinates must end in an (kx, ky) pair, got {coords.shape}")
-    if np.any(np.abs(coords) > np.pi + 1e-12):
-        raise AutodiffError("coordinate component outside [-pi, pi]")
+    if not np.all(np.abs(coords) <= np.pi + 1e-12):  # NaN fails too
+        raise AutodiffError("coordinate component outside [-pi, pi] or NaN")
     return coords
 
 

@@ -1,6 +1,11 @@
 """End-to-end acquisition/reconstruction pipeline and the two training
 stages: joint main training and the stacked-trajectory refinement with the
 temporal-derivative hinge penalty.
+
+One training loop (`_fit`) serves both stages, and one windowed
+reconstruction (`_recon_windows`: acquire and reconstruct each k-frame window
+of a sequence with the k-frame trajectory) serves main training, refinement
+and stacked evaluation alike.
 """
 
 from __future__ import annotations
@@ -12,11 +17,15 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as qm
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step
+from .data import partition_frames
 from .nufft import nudft_adjoint_op, nudft_forward_op
 from .recon import ReconConfig, recon_forward
 from .trajectory import (PhysicsConfig, Trajectory, feasibility_report,
                          init_golden_angle, init_radial, kinematic_bounds,
                          project_kinematic)
+
+# tolerance of the kinematic projection after every trajectory update
+PROJECTION_TOL = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -40,7 +49,6 @@ class TrainConfig:
     mu_mode: str = "abs"          # "abs" (default) or "signed"
     freeze_theta_refine: bool = False
     val_fraction: float = 0.1
-    projection_tol: float = 1e-8
 
     def __post_init__(self):
         if self.lr_net <= 0 or self.lr_traj < 0:
@@ -126,6 +134,15 @@ def loss_refine(z_hat_stacked: Tensor, z, stats: MuStats, lambda_ref,
     return base + hinge * float(lambda_ref)
 
 
+def _recon_windows(z, coords_t, params, rcfg):
+    """Acquire and reconstruct each k-frame window of the sequence `z` with
+    the k-frame trajectory `coords_t` (k = coords_t.shape[0]), the last
+    window zero-padded to k frames; yields one [k,H,W] tensor per window."""
+    for window in partition_frames(z, coords_t.shape[0]):
+        z_hat, _ = recon_forward(acquire(window, coords_t), rcfg, params)
+        yield z_hat
+
+
 # -- training -----------------------------------------------------------------
 
 def _split_train_val(n, val_fraction):
@@ -144,64 +161,31 @@ def init_trajectory(mode, n_frames, n_shots, m):
     return traj
 
 
-def _apply_constraints(coords, bounds, tol):
+def _apply_constraints(coords, bounds):
     """Clip into [-pi, pi] and project onto the kinematic set."""
     clipped = np.clip(coords, -np.pi, np.pi)
-    return project_kinematic(Trajectory(clipped), bounds, tol=tol).coords
+    return project_kinematic(Trajectory(clipped), bounds, tol=PROJECTION_TOL).coords
 
 
-def _forward_loss(z, coords_t, params, rcfg):
-    regrid = acquire(z, coords_t)
-    z_hat, _ = recon_forward(regrid, rcfg, params)
-    return loss_main(z_hat, z)
-
-
-def _check_loss(value, context):
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"loss became non-finite during {context}")
-
-
-def _val_loss(volumes, idx, coords, params, rcfg):
-    if not idx:
-        return float("nan")
-    frozen = Tensor(coords)
-    return float(np.mean([_forward_loss(volumes[i], frozen, params, rcfg).item()
-                          for i in idx]))
-
-
-def _adam_states(params, lr):
-    return {name: AdamState.init(p.shape, lr) for name, p in params.items()}
-
-
-def _step_params(params, states, scale):
-    for name in sorted(params):
-        p = params[name]
-        if p.grad is None:
-            continue
-        p.data, states[name] = adam_step(p.data, p.grad * scale, states[name])
-        p.grad = None
-
-
-def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
-               rcfg: ReconConfig, params: dict, trajectory: Trajectory,
-               stage="main", epochs=None) -> TrainResult:
-    """Joint Adam optimization of network parameters and trajectory coords.
-
-    The trajectory is re-projected onto the feasible set after every update;
-    history records one row per epoch. Deterministic given tcfg.seed.
+def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
+         seed, lr_net, lr_traj) -> TrainResult:
+    """Adam on the network parameters (held fixed when `lr_net` is None) and
+    on the trajectory coords, which are re-projected onto the feasible set
+    after every update. `loss_fn(z, coords_t)` is the per-sample loss; the
+    validation loss is its mean over the held-out samples on frozen coords.
+    History records one row per epoch. Deterministic given `seed`.
     """
-    rng = np.random.default_rng(tcfg.seed)
+    rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
-    epochs = tcfg.epochs_main if epochs is None else epochs
-
-    coords = _apply_constraints(trajectory.coords, bounds, tcfg.projection_tol)
+    coords = _apply_constraints(trajectory.coords, bounds)
     train_idx, val_idx = _split_train_val(len(volumes), tcfg.val_fraction)
     if not train_idx:
-        raise AutodiffError("dataset too small to train on")
+        raise AutodiffError(f"dataset too small for the {stage} stage")
 
-    net_states = _adam_states(params, tcfg.lr_net)
-    traj_state = AdamState.init(coords.shape, tcfg.lr_traj) if (
-        trajectory.learnable and tcfg.lr_traj > 0) else None
+    net_states = None if lr_net is None else {
+        name: AdamState.init(p.shape, lr_net) for name, p in params.items()}
+    traj_state = AdamState.init(coords.shape, lr_traj) if (
+        trajectory.learnable and lr_traj > 0) else None
 
     history = []
     for epoch in range(epochs):
@@ -215,37 +199,44 @@ def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
             for name in sorted(params):
                 params[name].grad = None
             for i in batch:
-                loss = _forward_loss(volumes[i], coords_t, params, rcfg)
-                _check_loss(loss.item(), f"epoch {epoch} (stage {stage})")
+                loss = loss_fn(volumes[i], coords_t)
+                if not np.isfinite(loss.item()):
+                    raise TrainingDiverged(
+                        f"loss became non-finite during {stage} epoch {epoch}")
                 epoch_losses.append(loss.item())
                 loss.backward()
             scale = 1.0 / len(batch)
-            _step_params(params, net_states, scale)
+            if net_states is not None:
+                for name in sorted(params):
+                    p = params[name]
+                    if p.grad is not None:
+                        p.data, net_states[name] = adam_step(
+                            p.data, p.grad * scale, net_states[name])
+                        p.grad = None
             if traj_state is not None:
                 coords, traj_state = adam_step(coords, coords_t.grad * scale, traj_state)
-                coords = _apply_constraints(coords, bounds, tcfg.projection_tol)
+                coords = _apply_constraints(coords, bounds)
             vel, acc = feasibility_report(Trajectory(coords), bounds)
             max_violation = max(max_violation, vel, acc)
-        val = _val_loss(volumes, val_idx, coords, params, rcfg)
+        frozen = Tensor(coords)
+        vals = [loss_fn(volumes[i], frozen).item() for i in val_idx]
         history.append({"epoch": epoch, "stage": stage,
                         "train_loss": float(np.mean(epoch_losses)),
-                        "val_loss": val,
+                        "val_loss": float(np.mean(vals)) if vals else float("nan"),
                         "max_violation": float(max_violation)})
     return TrainResult(Trajectory(coords, learnable=trajectory.learnable),
                        params, history)
 
 
-def _stacked_recon(z2k, coords_t, params, rcfg, k):
-    """Acquire a 2k sequence with the x2 tiled trajectory and reconstruct it
-    as two independent k-frame windows, concatenated along time."""
-    stacked = ad.concat([coords_t, coords_t], axis=0)
-    regrid = acquire(z2k, stacked)
-    halves = []
-    for w in range(2):
-        window = regrid[:, w * k:(w + 1) * k]
-        z_hat, _ = recon_forward(window, rcfg, params)
-        halves.append(z_hat)
-    return ad.concat(halves, axis=0)
+def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
+               rcfg: ReconConfig, params: dict, trajectory: Trajectory) -> TrainResult:
+    """Joint Adam optimization of network parameters and trajectory coords
+    on k-frame samples, with the MSE loss."""
+    def loss_fn(z, coords_t):
+        return loss_main(ad.concat(_recon_windows(z, coords_t, params, rcfg)), z)
+
+    return _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, "main",
+                tcfg.epochs_main, tcfg.seed, tcfg.lr_net, tcfg.lr_traj)
 
 
 def train_refine(volumes_2k, tcfg: TrainConfig, stats: MuStats,
@@ -253,68 +244,22 @@ def train_refine(volumes_2k, tcfg: TrainConfig, stats: MuStats,
                  trajectory: Trajectory) -> TrainResult:
     """Post-training refinement on 2k-frame data with the hinge penalty.
 
-    Both the network and the base k-frame trajectory are updated (the
-    trajectory gradient sums over its two stacked copies) unless
-    tcfg.freeze_theta_refine is set.
+    Each sample is reconstructed as two k-frame windows acquired with the
+    same base trajectory, so its gradient sums over both copies. The network
+    is updated too unless tcfg.freeze_theta_refine is set.
     """
     k = tcfg.frames_k
     for v in volumes_2k:
         if v.shape[0] != 2 * k:
             raise AutodiffError(f"refinement data must have {2 * k} frames")
-    rng = np.random.default_rng(tcfg.seed + 1)
-    bounds = kinematic_bounds(pcfg)
 
-    coords = _apply_constraints(trajectory.coords, bounds, tcfg.projection_tol)
-    train_idx, val_idx = _split_train_val(len(volumes_2k), tcfg.val_fraction)
-    if not train_idx:
-        raise AutodiffError("dataset too small to refine on")
+    def loss_fn(z, coords_t):
+        z_hat = ad.concat(_recon_windows(z, coords_t, params, rcfg))
+        return loss_refine(z_hat, z, stats, tcfg.lambda_ref, mode=tcfg.mu_mode)
 
-    net_states = None if tcfg.freeze_theta_refine else _adam_states(
-        params, tcfg.lr_net_refine)
-    traj_state = AdamState.init(coords.shape, tcfg.lr_traj_refine) if (
-        trajectory.learnable and tcfg.lr_traj_refine > 0) else None
-
-    history = []
-    for epoch in range(tcfg.epochs_refine):
-        order = list(train_idx)
-        rng.shuffle(order)
-        epoch_losses = []
-        max_violation = -np.inf
-        for start in range(0, len(order), tcfg.batch):
-            batch = order[start:start + tcfg.batch]
-            coords_t = Tensor(coords, requires_grad=traj_state is not None)
-            for name in sorted(params):
-                params[name].grad = None
-            for i in batch:
-                z_hat = _stacked_recon(volumes_2k[i], coords_t, params, rcfg, k)
-                loss = loss_refine(z_hat, volumes_2k[i], stats, tcfg.lambda_ref,
-                                   mode=tcfg.mu_mode)
-                _check_loss(loss.item(), f"refine epoch {epoch}")
-                epoch_losses.append(loss.item())
-                loss.backward()
-            scale = 1.0 / len(batch)
-            if net_states is not None:
-                _step_params(params, net_states, scale)
-            if traj_state is not None:
-                coords, traj_state = adam_step(coords, coords_t.grad * scale, traj_state)
-                coords = _apply_constraints(coords, bounds, tcfg.projection_tol)
-            vel, acc = feasibility_report(Trajectory(coords), bounds)
-            max_violation = max(max_violation, vel, acc)
-        val = float("nan")
-        if val_idx:
-            frozen = Tensor(coords)
-            vals = []
-            for i in val_idx:
-                z_hat = _stacked_recon(volumes_2k[i], frozen, params, rcfg, k)
-                vals.append(loss_refine(z_hat, volumes_2k[i], stats,
-                                        tcfg.lambda_ref, mode=tcfg.mu_mode).item())
-            val = float(np.mean(vals))
-        history.append({"epoch": epoch, "stage": "refine",
-                        "train_loss": float(np.mean(epoch_losses)),
-                        "val_loss": val,
-                        "max_violation": float(max_violation)})
-    return TrainResult(Trajectory(coords, learnable=trajectory.learnable),
-                       params, history)
+    lr_net = None if tcfg.freeze_theta_refine else tcfg.lr_net_refine
+    return _fit(volumes_2k, loss_fn, tcfg, pcfg, params, trajectory, "refine",
+                tcfg.epochs_refine, tcfg.seed + 1, lr_net, tcfg.lr_traj_refine)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -330,26 +275,16 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
                      z_long, k, mu_mode="abs") -> EvalResult:
     """Reconstruct an arbitrary-length sequence with the k-frame trajectory.
 
-    The sequence is split into ceil(T/k) windows, the last zero-padded to k
-    frames; each window is acquired and reconstructed independently and the
-    padding is cropped from the concatenation.
+    Each k-frame window is acquired and reconstructed independently (the
+    last one zero-padded) and the padding is cropped from the concatenation.
     """
     z_long = np.asarray(z_long, dtype=np.float64)
     t_total = z_long.shape[0]
     if trajectory.n_frames != k:
         raise AutodiffError("trajectory frame count must equal k")
-    coords_t = Tensor(trajectory.coords)
-    chunks = []
-    for start in range(0, t_total, k):
-        window = z_long[start:start + k]
-        n_real = window.shape[0]
-        if n_real < k:
-            window = np.concatenate(
-                [window, np.zeros((k - n_real,) + z_long.shape[1:])], axis=0)
-        regrid = acquire(window, coords_t)
-        z_hat, _ = recon_forward(regrid, rcfg, params)
-        chunks.append(z_hat.data[:n_real])
-    recon = np.concatenate(chunks, axis=0)
+    # keep only each window's array, so one window's graph is alive at a time
+    windows = _recon_windows(z_long, Tensor(trajectory.coords), params, rcfg)
+    recon = np.concatenate([w.data for w in windows], axis=0)[:t_total]
     mu = mean_temporal_derivative(recon, mu_mode) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))
     return EvalResult(reconstruction=recon, mu=mu, metrics=report)

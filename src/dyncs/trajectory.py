@@ -42,8 +42,8 @@ class Trajectory:
             raise TrajectoryError(f"coords must be [T,S,m,2], got {self.coords.shape}")
         if min(self.coords.shape[:3]) < 1:
             raise TrajectoryError("N_frames, N_shots and m must all be >= 1")
-        if np.any(np.abs(self.coords) > np.pi + 1e-12):
-            raise TrajectoryError("coordinate outside [-pi, pi]")
+        if not np.all(np.abs(self.coords) <= np.pi + 1e-12):  # NaN fails too
+            raise TrajectoryError("coordinate outside [-pi, pi] or NaN")
 
     @property
     def n_frames(self):

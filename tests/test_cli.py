@@ -79,6 +79,17 @@ def test_train_missing_dataset_fails(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("key", ["epochs-refine", "lambda_ref", "signed-mu"])
+def test_train_config_naming_refine_flag_is_usage_error(dataset, tmp_path, capsys,
+                                                        key):
+    config = tmp_path / "overrides.json"
+    config.write_text(json.dumps({key: 1}))
+    rc = main(_train_args(dataset, tmp_path / "out") + ["--config", str(config)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
 def test_refine_without_prior_run_is_usage_error(dataset, tmp_path, capsys):
     rc = main(["refine", "--run", str(tmp_path / "none"), "--data", str(dataset)])
     assert rc == 2
@@ -116,6 +127,19 @@ def test_eval_on_truncated_trajectory_fails(dataset, run_dir, tmp_path, capsys):
         traj_csv.write_text("".join(lines[:-1]))
     rc = main(["eval", "--run", str(run), "--data", str(dataset),
                "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TrajectoryError"
+
+
+def test_refine_on_nan_trajectory_fails(dataset, run_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    traj_csv = run / "traj.csv"
+    lines = traj_csv.read_text().splitlines(keepends=True)
+    lines[1] = ",".join(lines[1].split(",")[:3] + ["nan", "0.0"]) + "\n"
+    traj_csv.write_text("".join(lines))
+    rc = main(["refine", "--run", str(run), "--data", str(dataset),
+               "--epochs-refine", "1"])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "TrajectoryError"
 

@@ -150,6 +150,10 @@ def test_frame_permutation_permutes_outputs():
 def test_out_of_range_coordinate_rejected():
     with pytest.raises(AutodiffError):
         nudft_forward(np.ones((1, 4, 4)), np.full((1, 1, 1, 2), 3.3))
+    coords = np.zeros((1, 1, 3, 2))
+    coords[0, 0, 1, 1] = np.nan
+    with pytest.raises(AutodiffError):
+        nudft_forward(np.ones((1, 4, 4)), coords)
 
 
 # -- coordinate gradients -------------------------------------------------------

@@ -265,6 +265,52 @@ def test_refine_with_zero_lambda_is_plain_mse_finetune():
     assert np.array_equal(a.trajectory.coords, b.trajectory.coords)
 
 
+def test_refine_frozen_network_moves_only_the_trajectory():
+    from dyncs.trajectory import kinematic_bounds, project_kinematic
+    vols = [gen_phantom(PhantomSpec(grid=(12, 12), frames=8, seed=s))
+            for s in range(3)]
+    tcfg = pl.TrainConfig(epochs_refine=2, seed=0, frames_k=4, batch=2,
+                          lr_traj_refine=0.01, freeze_theta_refine=True)
+    rcfg = _small_rcfg()
+    rng = np.random.default_rng(0)
+    params = init_recon_params(rcfg, rng)
+    # a zero output layer would give the trajectory a zero gradient
+    params["conv_out.w"].data[:] = 0.1 * rng.normal(size=params["conv_out.w"].shape)
+    before = {n: p.data.copy() for n, p in params.items()}
+    traj = init_radial(4, 2, 8)
+    result = pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.01), _pcfg(12), rcfg,
+                             params, traj)
+    for name in params:
+        assert np.array_equal(result.params[name].data, before[name]), name
+    start = project_kinematic(Trajectory(traj.coords), kinematic_bounds(_pcfg(12)),
+                              tol=1e-8).coords
+    assert np.abs(result.trajectory.coords - start).max() > 1e-6
+
+
+def test_refine_validation_matches_stacked_eval():
+    """The refine stage's val_loss and stacked evaluation reconstruct the
+    held-out 2k-frame volumes through the same k-frame windows."""
+    vols = [gen_phantom(PhantomSpec(grid=(24, 24), frames=8, seed=s))
+            for s in range(3)]
+    tcfg = pl.TrainConfig(epochs_refine=1, seed=0, frames_k=4, batch=2,
+                          lr_traj_refine=0.01, lr_net_refine=1e-4)
+    rcfg = _small_rcfg()
+    params = init_recon_params(rcfg, np.random.default_rng(0))
+    stats = pl.MuStats(mu_x=0.01)
+    result = pl.train_refine(vols, tcfg, stats, _pcfg(24), rcfg, params,
+                             init_radial(4, 2, 12))
+    _, val_idx = pl._split_train_val(len(vols), tcfg.val_fraction)
+    assert val_idx
+    losses = []
+    for i in val_idx:
+        recon = pl.evaluate_stacked(result.trajectory, result.params, rcfg,
+                                    vols[i], 4).reconstruction
+        losses.append(pl.loss_refine(Tensor(recon), vols[i], stats,
+                                     tcfg.lambda_ref, mode=tcfg.mu_mode).item())
+    assert result.history[-1]["val_loss"] == pytest.approx(np.mean(losses),
+                                                           rel=1e-12)
+
+
 # -- stacked evaluation --------------------------------------------------------------
 
 @pytest.fixture(scope="module")

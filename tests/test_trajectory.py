@@ -293,3 +293,9 @@ def test_trajectory_invariants_enforced():
         Trajectory(np.full((1, 1, 2, 2), 4.0))
     with pytest.raises(TrajectoryError):
         Trajectory(np.zeros((1, 1, 2, 3)))
+    with pytest.raises(TrajectoryError):
+        Trajectory(np.full((1, 1, 3, 2), np.nan))
+    coords = init_radial(2, 2, 4).coords
+    coords[1, 0, 2, 0] = np.nan
+    with pytest.raises(TrajectoryError):
+        Trajectory(coords)
