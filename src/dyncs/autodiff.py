@@ -78,12 +78,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, grad):
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.data.shape:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -106,18 +107,27 @@ def _train_configs(args, grid):
     return tcfg, pcfg, rcfg
 
 
-def _load_config_overrides(args):
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise UsageError(f"unknown config key '{key}'")
-            setattr(args, attr, value)
+# JSON value types a `--config` override may hold, by the flag's argparse type
+_CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
 
-def cmd_train(args):
-    _load_config_overrides(args)
+def _load_config_overrides(args, parser):
+    """Copy `--config` JSON values onto `args`, checked against the flags."""
+    if not args.config:
+        return
+    flags = {a.dest: a for a in parser._actions if a.dest != "help"}
+    for key, value in json.loads(Path(args.config).read_text()).items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise UsageError(f"unknown config key '{key}'")
+        if (isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[flag.type])
+                or (flag.choices is not None and value not in flag.choices)):
+            raise UsageError(f"config key '{key}' has an invalid value {value!r}")
+        setattr(args, flag.dest, value)
+
+
+def cmd_train(args, parser):
+    _load_config_overrides(args, parser)
     volumes = dz.load_dataset(args.data)
     grid = volumes[0].shape[1]
     k = args.frames_k
@@ -324,7 +334,7 @@ def build_parser():
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--window", default="2,4,4")
     p.add_argument("--config", help="JSON file overriding flags")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=functools.partial(cmd_train, parser=p))
 
     p = sub.add_parser("refine", help="post-training trajectory refinement")
     p.add_argument("--run", required=True)

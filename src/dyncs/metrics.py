@@ -219,11 +219,10 @@ def metric_report(x, ref, peak=1.0):
     }
 
 
-def transition_report(mu, k, baseline_mu=None):
+def transition_report(mu, k):
     """Summarize a mean-temporal-derivative vector around the stacking seams.
 
-    Transition indices are the multiples of k minus one. The reduction ratio
-    compares the transition peaks of `mu` against `baseline_mu` when given.
+    Transition indices are the multiples of k minus one.
     """
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) < k:
@@ -232,16 +231,8 @@ def transition_report(mu, k, baseline_mu=None):
     others = [i for i in range(len(mu)) if i not in marks]
     peak = float(np.max(np.abs(mu[marks]))) if marks else 0.0
     elsewhere = float(np.mean(np.abs(mu[others]))) if others else 0.0
-
-    reduction = None
-    if baseline_mu is not None:
-        baseline_mu = np.asarray(baseline_mu, dtype=np.float64)
-        base_marks = [i for i in range(k - 1, len(baseline_mu), k)]
-        base_peak = float(np.max(np.abs(baseline_mu[base_marks]))) if base_marks else 0.0
-        if base_peak > 0.0:
-            reduction = (base_peak - peak) / base_peak
     return {"transition_indices": marks, "transition_peak": peak,
-            "mean_elsewhere": elsewhere, "reduction_ratio": reduction}
+            "mean_elsewhere": elsewhere}
 
 
 def write_transition_csv(mu, k, path):

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import metrics as qm
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step
 from .data import partition_frames
-from .nufft import nudft_adjoint_op, nudft_forward_op
+from .nufft import acquire
 from .recon import ReconConfig, recon_forward
 from .trajectory import (PhysicsConfig, Trajectory, feasibility_report,
                          init_golden_angle, init_radial, kinematic_bounds,
@@ -79,16 +79,6 @@ class TrainResult:
 
 
 # -- core operators -----------------------------------------------------------
-
-def acquire(z, coords: Tensor) -> Tensor:
-    """Emulated acquisition: forward NUDFT then scaled adjoint regridding.
-
-    Returns the 2-channel (real, imag) regridded volume [2,T,H,W].
-    """
-    z = np.asarray(z, dtype=np.float64)
-    samples = nudft_forward_op(z, coords)
-    return nudft_adjoint_op(samples, coords, z.shape)
-
 
 def loss_main(z_hat: Tensor, z) -> Tensor:
     z = np.asarray(z, dtype=np.float64)

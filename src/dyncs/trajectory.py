@@ -1,5 +1,5 @@
 """Per-frame multi-shot k-space trajectories: generators, kinematic
-feasibility projection, stacking and serialization.
+feasibility projection and serialization.
 
 A trajectory is a real array [N_frames, N_shots, m, 2] of angular
 frequencies in radians (see `nufft` for the transform convention). The
@@ -154,12 +154,16 @@ def _batch_violation(c, b):
 
 
 def _project_curves(c0, b, tol, max_iter):
-    """Euclidean projection of a batch of curves [B, m, 2] onto the set
+    """Approximate Euclidean projection of a batch of curves [B, m, 2] onto
         { ||D1 c||_i <= alpha, ||D2 c||_i <= beta, |c| <= pi }.
 
     Accelerated (FISTA) ascent on the dual, with block soft-thresholding
     (and, for the box, the Moreau identity prox(u) = u - t*clip(u/t)) as
-    the prox of the constraint support functions.
+    the prox of the constraint support functions. Every 25 iterations the
+    primal iterate is checked, and the first one feasible to `tol` is
+    returned: a feasible point near the projection, not the projection
+    itself, so the map need not be firmly non-expansive. A batch already
+    feasible to `tol` is returned unchanged.
     """
     bsz, m, _ = c0.shape
     if m == 1:
@@ -218,7 +222,9 @@ def _project_curves(c0, b, tol, max_iter):
 
 def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8,
                       max_iter=20000) -> Trajectory:
-    """Project every shot of every frame onto the kinematically feasible set."""
+    """Map every shot of every frame onto the kinematically feasible set:
+    the first FISTA iterate of `_project_curves` feasible to `tol`, an
+    approximation of the Euclidean projection."""
     if tol <= 0:
         raise TrajectoryError("tol must be positive")
     shape = k.coords.shape
@@ -230,15 +236,6 @@ def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8,
 def feasibility_report(k: Trajectory, b: KinematicBounds):
     """(max velocity violation, max acceleration violation); negative = slack."""
     return _kinematic_violations(k.coords.reshape(-1, k.n_points, 2), b)
-
-
-def stack_trajectories(k: Trajectory, total_frames: int) -> Trajectory:
-    """Tile the learned frames cyclically; the last partial tile is truncated."""
-    if total_frames < 1:
-        raise TrajectoryError("total_frames must be >= 1")
-    reps = -(-total_frames // k.n_frames)
-    tiled = np.tile(k.coords, (reps, 1, 1, 1))[:total_frames]
-    return Trajectory(tiled, learnable=k.learnable)
 
 
 def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None):

@@ -3,7 +3,6 @@
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from dyncs.cli import main
@@ -85,6 +84,20 @@ def test_train_config_naming_refine_flag_is_usage_error(dataset, tmp_path, capsy
     config = tmp_path / "overrides.json"
     config.write_text(json.dumps({key: 1}))
     rc = main(_train_args(dataset, tmp_path / "out") + ["--config", str(config)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", [{"epochs": "2"}, {"shots": True},
+                                      {"traj": "spiral"}],
+                         ids=["string-for-int", "bool-for-int", "not-a-choice"])
+def test_train_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, override):
+    config = tmp_path / "overrides.json"
+    config.write_text(json.dumps(override))
+    # the dataset does not exist: a usage error shows the check came first
+    rc = main(_train_args(tmp_path / "no-data", tmp_path / "out")
+              + ["--config", str(config)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not (tmp_path / "out").exists()

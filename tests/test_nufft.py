@@ -1,4 +1,4 @@
-"""Tests for the exact nonuniform DFT, its adjoint and coordinate gradients."""
+"""Tests for the exact nonuniform DFT, its adjoint and the acquisition node."""
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncs import autodiff as ad
+from dyncs import nufft
 from dyncs.autodiff import AutodiffError, Tensor
-from dyncs.nufft import (cartesian_grid_coords, nudft_adjoint,
-                         nudft_adjoint_op, nudft_forward, nudft_forward_op,
-                         nudft_grad_coords)
+from dyncs.nufft import (acquire, cartesian_grid_coords, nudft_adjoint,
+                         nudft_forward)
 
 
 def _forward_oracle(z, coords):
@@ -156,61 +156,46 @@ def test_out_of_range_coordinate_rejected():
         nudft_forward(np.ones((1, 4, 4)), coords)
 
 
-# -- coordinate gradients -------------------------------------------------------
+# -- acquisition node -----------------------------------------------------------
 
-def test_coord_gradient_zero_for_centered_impulse():
-    h = w = 6
-    z = np.zeros((1, h, w))
-    z[0, h // 2, w // 2] = 1.0
-    coords = _random_coords(np.random.default_rng(8), (1, 1, 4))
-    upstream = np.random.default_rng(9).normal(size=(1, 1, 4)) + 0.0j
-    grad = nudft_grad_coords(z, coords, upstream)
-    # samples are identically 1 + 0i regardless of the coordinates
-    np.testing.assert_allclose(grad[..., :], 0.0, atol=1e-12)
+def test_acquire_coord_gradients_match_finite_differences():
+    rng = np.random.default_rng(11)
+    for t_frames, h, w in SHAPES:
+        z = rng.normal(size=(t_frames, h, w))
+        coords0 = _random_coords(rng, (t_frames, 2, 3)) * 0.9
+        seed = rng.normal(size=(2, t_frames, h, w))
+
+        def f(c):
+            return (acquire(z, c) * seed).sum()
+
+        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
 
 
 def test_zero_upstream_gives_zero_gradient():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(1, 4, 4))
-    coords = _random_coords(rng, (1, 2, 3))
-    grad = nudft_grad_coords(z, coords, np.zeros((1, 2, 3), dtype=np.complex128))
-    np.testing.assert_allclose(grad, 0.0)
+    coords = Tensor(_random_coords(rng, (1, 2, 3)), requires_grad=True)
+    acquire(z, coords).backward(np.zeros((2, 1, 4, 4)))
+    np.testing.assert_allclose(coords.grad, 0.0)
 
 
-def test_forward_coord_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
-    for t_frames, h, w in SHAPES:
-        z = rng.normal(size=(t_frames, h, w))
-        coords0 = _random_coords(rng, (t_frames, 1, 3)) * 0.9
-        seed = rng.normal(size=(2, t_frames, 1, 3))
-
-        def f(c):
-            return (nudft_forward_op(z, c) * seed).sum()
-
-        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
+def test_acquire_rejects_frame_count_mismatch():
+    coords = Tensor(_random_coords(np.random.default_rng(12), (3, 1, 4)))
+    with pytest.raises(AutodiffError, match="frame count"):
+        acquire(np.ones((2, 4, 4)), coords)
 
 
-def test_adjoint_coord_gradients_match_finite_differences():
-    rng = np.random.default_rng(12)
-    for t_frames, h, w in SHAPES:
-        x = rng.normal(size=(2, t_frames, 2, 3))
-        coords0 = _random_coords(rng, (t_frames, 2, 3)) * 0.9
-        seed = rng.normal(size=(2, t_frames, h, w))
-
-        def f(c):
-            return (nudft_adjoint_op(Tensor(x), c, (t_frames, h, w)) * seed).sum()
-
-        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
-
-
-def test_forward_op_image_gradients_match_finite_differences():
+def test_acquire_builds_phase_tables_once_per_pass(monkeypatch):
+    calls = []
+    build = nufft._phase_tables
+    monkeypatch.setattr(nufft, "_phase_tables",
+                        lambda *args: calls.append(args) or build(*args))
     rng = np.random.default_rng(13)
-    for t_frames, h, w in SHAPES:
-        z0 = rng.normal(size=(t_frames, h, w))
-        coords = Tensor(_random_coords(rng, (t_frames, 1, 3)))
-        seed = rng.normal(size=(2, t_frames, 1, 3))
-
-        def f(z):
-            return (nudft_forward_op(z, coords) * seed).sum()
-
-        assert ad.grad_check(f, Tensor(z0)) < 1e-6
+    z = rng.normal(size=(2, 5, 4))
+    coords = _random_coords(rng, (2, 2, 3))
+    acquire(z, Tensor(coords))
+    assert len(calls) == 1
+    calls.clear()
+    learnable = Tensor(coords, requires_grad=True)
+    acquire(z, learnable).sum().backward()
+    assert len(calls) == 2  # one for the forward, one for the backward

@@ -1,4 +1,4 @@
-"""Tests for trajectory generators, the kinematic projection, stacking and I/O."""
+"""Tests for trajectory generators, the kinematic projection and I/O."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from dyncs.trajectory import (GOLDEN_ANGLE, KinematicBounds, PhysicsConfig,
                               Trajectory, TrajectoryError, export_trajectory,
                               feasibility_report, init_golden_angle,
                               init_radial, kinematic_bounds, load_trajectory,
-                              project_kinematic, stack_trajectories)
+                              project_kinematic)
 
 
 def _loop_report(coords, b):
@@ -197,30 +197,6 @@ def test_report_nonpositive_after_projection():
     out = project_kinematic(Trajectory(c0), b, tol=1e-8)
     vel, acc = feasibility_report(out, b)
     assert max(vel, acc) <= 1e-8
-
-
-# -- stacking -------------------------------------------------------------------
-
-def test_stack_identity_at_same_length():
-    k = init_golden_angle(4, 2, 6)
-    out = stack_trajectories(k, 4)
-    np.testing.assert_array_equal(out.coords, k.coords)
-
-
-def test_stack_8_to_27_wraps_cyclically():
-    k = init_golden_angle(8, 1, 4)
-    out = stack_trajectories(k, 27)
-    assert out.n_frames == 27
-    np.testing.assert_array_equal(out.coords[24:], k.coords[:3])
-    for t in range(27):
-        np.testing.assert_array_equal(out.coords[t], k.coords[t % 8])
-
-
-def test_stack_integer_multiple_contains_exact_copies():
-    k = init_radial(3, 2, 5)
-    out = stack_trajectories(k, 9)
-    for rep in range(3):
-        np.testing.assert_array_equal(out.coords[3 * rep:3 * (rep + 1)], k.coords)
 
 
 # -- serialization ---------------------------------------------------------------
