@@ -56,7 +56,7 @@ def _adjoint(ex, ey, x):
     return ex.conj().swapaxes(1, 2) @ (x[..., None] * ey.conj())
 
 
-def _coord_grad(a, z, ex, ey):
+def _coord_term(a, z, ex, ey):
     """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[t,x,y]
     exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a."""
     xs, ys = _centered_axes(*z.shape[1:])
@@ -105,8 +105,8 @@ def acquire(z, coords: Tensor) -> Tensor:
         ex, ey = _phase_tables(cd, h, w)  # rebuilt, not kept alive by the graph
         gu = g[0] + 1j * g[1]
         u = _forward(ex, ey, gu) / (h * w)
-        return (_coord_grad(x, gu, ex, ey).reshape(cd.shape) / (h * w),
-                _coord_grad(u, z, ex, ey).reshape(cd.shape))
+        return (_coord_term(x, gu, ex, ey).reshape(cd.shape) / (h * w),
+                _coord_term(u, z, ex, ey).reshape(cd.shape))
 
     # coords is a parent twice, once per transform, so the adjoint's and then
     # the forward's gradient term accumulate into coords.grad one at a time:
