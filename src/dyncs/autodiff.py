@@ -3,7 +3,7 @@
 The op set is deliberately small and closed: elementwise arithmetic,
 matmul (with batch broadcasting), reshape/transpose/slicing/concat/pad,
 reductions, abs/relu, softmax, layer_norm and conv3d. Custom nodes (the
-nonuniform Fourier ops) attach their own backward closures via
+acquisition node `nufft.acquire`) attach their own backward closures via
 ``Tensor.from_op``. Everything is float64; NaN or Inf entering any op is
 an error.
 """
@@ -253,44 +253,37 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     return Tensor.from_op(data, (x, gamma, beta), back)
 
 
-def conv3d(x, w, padding=None):
-    """3D cross-correlation with zero padding.
+def _columns(x, k):
+    """The im2col matrix of x [C,T,H,W] under "same" zero padding for odd
+    kernel extents k = (kt, kh, kw): [C*kt*kh*kw, T*H*W], rows (c, dt, dh, dw)."""
+    pad = [(0, 0)] + [(n // 2, n // 2) for n in k]
+    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), k, axis=(1, 2, 3))
+    return view.transpose(0, 4, 5, 6, 1, 2, 3).reshape(-1, x[0].size)
 
-    x: [C_in, T, H, W]; w: [C_out, C_in, kt, kh, kw]; odd kernel extents and
-    "same" padding by default, so the output is [C_out, T, H, W].
+
+def conv3d(x, w):
+    """3D cross-correlation with "same" zero padding.
+
+    x: [C_in, T, H, W]; w: [C_out, C_in, kt, kh, kw] with odd kernel extents;
+    the output is [C_out, T, H, W]. The output, the weight gradient and the
+    input gradient (the correlation of the upstream gradient with the kernel
+    flipped in space and transposed in channels) are each one matmul against
+    `_columns`; the backward rebuilds the columns instead of keeping them.
     """
     if x.ndim != 4 or w.ndim != 5:
         raise AutodiffError("conv3d expects x rank 4 and w rank 5")
     cin, t, h, wd = x.data.shape
-    cout, cin_w, kt, kh, kw = w.data.shape
+    cout, cin_w, *k = w.data.shape
     if cin != cin_w:
         raise AutodiffError(f"conv3d channel mismatch: {cin} vs {cin_w}")
-    if kt % 2 == 0 or kh % 2 == 0 or kw % 2 == 0:
+    if any(n % 2 == 0 for n in k):
         raise AutodiffError("conv3d kernel extents must be odd")
-    if padding is None:
-        padding = (kt // 2, kh // 2, kw // 2)
-    pt, ph, pw = padding
-    if (pt, ph, pw) != (kt // 2, kh // 2, kw // 2):
-        raise AutodiffError("conv3d only supports 'same' padding")
-
-    xp = np.pad(x.data, ((0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    # im2col: one matmul instead of kt*kh*kw small contractions
-    view = np.lib.stride_tricks.sliding_window_view(xp, (kt, kh, kw), axis=(1, 2, 3))
-    cols = view.transpose(0, 4, 5, 6, 1, 2, 3).reshape(cin * kt * kh * kw, t * h * wd)
-    w_flat = w.data.reshape(cout, cin * kt * kh * kw)
-    out = (w_flat @ cols).reshape(cout, t, h, wd)
+    out = (w.data.reshape(cout, -1) @ _columns(x.data, k)).reshape(cout, t, h, wd)
 
     def back(g):
-        g_flat = g.reshape(cout, t * h * wd)
-        gw = (g_flat @ cols.T).reshape(w.data.shape)
-        gcols = (w_flat.T @ g_flat).reshape(cin, kt, kh, kw, t, h, wd)
-        gxp = np.zeros_like(xp)
-        for dt in range(kt):
-            for dh in range(kh):
-                for dw in range(kw):
-                    gxp[:, dt:dt + t, dh:dh + h, dw:dw + wd] += gcols[:, dt, dh, dw]
-        gx = gxp[:, pt:pt + t, ph:ph + h, pw:pw + wd]
-        return (gx, gw)
+        gw = (g.reshape(cout, -1) @ _columns(x.data, k).T).reshape(w.data.shape)
+        w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(cin, -1)
+        return ((w_adj @ _columns(g, k)).reshape(x.data.shape), gw)
 
     return Tensor.from_op(out, (x, w), back)
 
@@ -384,22 +377,21 @@ def grad_check(f, x, h=1e-5):
 
 # -- Adam ---------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, shape, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def init(cls, shape, lr):
         if lr <= 0:
             raise AutodiffError("Adam learning rate must be positive")
-        return cls(m=np.zeros(shape), v=np.zeros(shape), step_count=0,
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(m=np.zeros(shape), v=np.zeros(shape), step_count=0, lr=lr)
 
 
 def adam_step(param, grad, state):
@@ -409,9 +401,9 @@ def adam_step(param, grad, state):
         raise AutodiffError("adam_step shape mismatch")
     _check_finite(grad, "gradient")
     state.step_count += 1
-    state.m = state.beta1 * state.m + (1 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-    mhat = state.m / (1 - state.beta1 ** state.step_count)
-    vhat = state.v / (1 - state.beta2 ** state.step_count)
-    new_param = param - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+    mhat = state.m / (1 - ADAM_BETA1 ** state.step_count)
+    vhat = state.v / (1 - ADAM_BETA2 ** state.step_count)
+    new_param = param - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return new_param, state

@@ -157,25 +157,25 @@ def cmd_train(args, parser):
           f"(final val loss {result.history[-1]['val_loss']:.6g})")
 
 
-def _load_run(run_dir):
+def _load_run(run_dir, refined):
+    """The run's manifest, recon config, parameters and trajectory: the
+    refined checkpoint and trajectory if `refined` and the run has them, else
+    the pre-refine ones."""
     run_dir = Path(run_dir)
-    if not (run_dir / "manifest.json").exists():
-        raise UsageError(f"no run manifest in {run_dir}")
+    refined = refined and (run_dir / "checkpoint_refined.json").exists()
+    suffix = "_refined" if refined else ""
+    for name in ("manifest.json", f"checkpoint{suffix}.json"):
+        if not (run_dir / name).exists():
+            raise UsageError(f"no {name} in {run_dir}")
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    refined = (run_dir / "checkpoint_refined.json").exists()
-    name = "checkpoint_refined" if refined else "checkpoint"
-    rcfg, params = load_checkpoint(run_dir / name)
-    traj = load_trajectory(run_dir / ("traj_refined" if refined else "traj"))
+    rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
+    traj = load_trajectory(run_dir / f"traj{suffix}")
     return manifest, rcfg, params, traj
 
 
 def cmd_refine(args):
     run_dir = Path(args.run)
-    if not (run_dir / "checkpoint.json").exists():
-        raise UsageError(f"no prior training checkpoint in {run_dir}")
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    rcfg, params = load_checkpoint(run_dir / "checkpoint")
-    trajectory = load_trajectory(run_dir / "traj")
+    manifest, rcfg, params, trajectory = _load_run(run_dir, refined=False)
 
     cfg = manifest["config"]
     k = cfg["frames_k"]
@@ -211,10 +211,7 @@ def cmd_refine(args):
 
 
 def cmd_stack_eval(args, plain=False):
-    manifest, rcfg, params, traj = _load_run(args.run)
-    if args.use_pre_refine:
-        rcfg, params = load_checkpoint(Path(args.run) / "checkpoint")
-        traj = load_trajectory(Path(args.run) / "traj")
+    manifest, rcfg, params, traj = _load_run(args.run, not args.use_pre_refine)
     k = manifest["config"]["frames_k"]
     volumes = dz.load_dataset(args.data)
     total = k if plain else args.total_frames
@@ -262,7 +259,7 @@ def cmd_eval(args):
 
 def cmd_export(args):
     run_dir = Path(args.run)
-    manifest, rcfg, params, traj = _load_run(run_dir)
+    manifest, rcfg, params, traj = _load_run(run_dir, refined=True)
     out = Path(args.out) if args.out else run_dir / f"export_{args.what}"
     if args.what == "trajectory":
         export_trajectory(traj, out)

@@ -1,9 +1,11 @@
 """Image-quality metrics: PSNR, pixel-domain VIF and FSIM, plus the
 transition-artifact report for stacked reconstructions.
 
-All metrics are computed per frame and averaged; inputs are magnitude
-images that get normalized to the reference peak (internally rescaled to
-a 0..255 range, where the published constants of VIF and FSIM live).
+VIF and FSIM are computed per frame and averaged; `psnr` (and so
+`metric_report["psnr"]`) is the PSNR of the whole volume, one MSE over every
+voxel, and `psnr_per_frame` gives it per frame. Inputs are magnitude images;
+VIF and FSIM rescale them to a reference peak of 255, where their published
+constants live.
 """
 
 from __future__ import annotations
@@ -122,24 +124,30 @@ def _log_gabor_bank(h, w, scales=4, orientations=4, wavelength=6.0,
         lg[0, 0] = 0.0
         radial.append(lg * lowpass)
 
-    angular = []
     sin_t, cos_t = np.sin(theta), np.cos(theta)
+    bank = []
     for o in range(orientations):
         phi = np.pi * o / orientations
         ds = sin_t * np.cos(phi) - cos_t * np.sin(phi)
         dc = cos_t * np.cos(phi) + sin_t * np.sin(phi)
         dtheta = np.arctan2(ds, dc)
-        angular.append(np.exp(-dtheta ** 2 / (2.0 * sigma_theta ** 2)))
-    return [[radial[s] * angular[o] for o in range(orientations)]
-            for s in range(scales)]
+        angular = np.exp(-dtheta ** 2 / (2.0 * sigma_theta ** 2))
+        filters = [lg * angular for lg in radial]
+        # noise-threshold moments; they depend on the filters only
+        expect_m2 = np.mean(filters[0] ** 2)
+        spatial = [np.real(np.fft.ifft2(f)) for f in filters]
+        expect_mimj = np.sum([np.sum(mi * mj) for mi in spatial for mj in spatial])
+        bank.append((filters, expect_m2, expect_mimj))
+    return bank
 
 
 def _phase_congruency(img, bank, k=2.0, rescale=1.7):
-    """Kovesi-style phase congruency with noise-threshold compensation."""
+    """Kovesi-style phase congruency with noise-threshold compensation; `bank`
+    holds (filters by scale, E[m0^2], sum_ij <m_i, m_j>) per orientation."""
     h, w = img.shape
     fimg = np.fft.fft2(img)
     pc = np.zeros((h, w))
-    for orient_filters in zip(*bank):  # iterate orientations
+    for orient_filters, expect_m2, expect_mimj in bank:
         eo = [np.fft.ifft2(fimg * f) for f in orient_filters]
         amps = [np.abs(e) for e in eo]
         sum_e = np.sum(eo, axis=0)
@@ -148,10 +156,6 @@ def _phase_congruency(img, bank, k=2.0, rescale=1.7):
         # noise threshold estimated from the smallest-scale response
         a2_median = np.median(amps[0] ** 2)
         expect_a2 = a2_median / np.log(2.0)
-        m0 = orient_filters[0]
-        expect_m2 = np.mean(m0 ** 2)
-        spatial = [np.real(np.fft.ifft2(f)) for f in orient_filters]
-        expect_mimj = np.sum([np.sum(mi * mj) for mi in spatial for mj in spatial])
         sigma_g = np.sqrt(max(expect_a2 * expect_mimj / max(expect_m2, 1e-300), 0.0))
         mu_r = sigma_g * np.sqrt(np.pi / 2.0)
         sigma_r = sigma_g * np.sqrt(2.0 - np.pi / 2.0)

@@ -56,14 +56,14 @@ def _adjoint(ex, ey, x):
     return ex.conj().swapaxes(1, 2) @ (x[..., None] * ey.conj())
 
 
-def _coord_term(a, z, ex, ey):
+def _coord_term(a, z, ez, ex, ey):
     """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[t,x,y]
-    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a."""
+    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a.
+    `ez` is ex @ z * ey, the forward transform of z before its sum over y."""
     xs, ys = _centered_axes(*z.shape[1:])
     a = a.conj()
     fx = _forward(ex * xs, ey, z)
-    fy = (ex @ z * ey) @ ys
-    return np.stack([np.imag(a * fx), np.imag(a * fy)], axis=-1)
+    return np.stack([np.imag(a * fx), np.imag(a * (ez @ ys))], axis=-1)
 
 
 def nudft_forward(z, coords):
@@ -104,9 +104,10 @@ def acquire(z, coords: Tensor) -> Tensor:
     def back(g):
         ex, ey = _phase_tables(cd, h, w)  # rebuilt, not kept alive by the graph
         gu = g[0] + 1j * g[1]
-        u = _forward(ex, ey, gu) / (h * w)
-        return (_coord_term(x, gu, ex, ey).reshape(cd.shape) / (h * w),
-                _coord_term(u, z, ex, ey).reshape(cd.shape))
+        egu = ex @ gu * ey
+        u = egu.sum(-1) / (h * w)
+        return (_coord_term(x, gu, egu, ex, ey).reshape(cd.shape) / (h * w),
+                _coord_term(u, z, ex @ z * ey, ex, ey).reshape(cd.shape))
 
     # coords is a parent twice, once per transform, so the adjoint's and then
     # the forward's gradient term accumulate into coords.grad one at a time:

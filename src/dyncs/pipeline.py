@@ -262,7 +262,7 @@ class EvalResult:
 
 
 def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
-                     z_long, k, mu_mode="abs") -> EvalResult:
+                     z_long, k) -> EvalResult:
     """Reconstruct an arbitrary-length sequence with the k-frame trajectory.
 
     Each k-frame window is acquired and reconstructed independently (the
@@ -275,6 +275,6 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     # keep only each window's array, so one window's graph is alive at a time
     windows = _recon_windows(z_long, Tensor(trajectory.coords), params, rcfg)
     recon = np.concatenate([w.data for w in windows], axis=0)[:t_total]
-    mu = mean_temporal_derivative(recon, mu_mode) if t_total >= 2 else np.zeros(0)
+    mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))
     return EvalResult(reconstruction=recon, mu=mu, metrics=report)

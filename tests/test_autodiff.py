@@ -1,5 +1,7 @@
 """Tests for the reverse-mode autodiff core and the Adam optimizer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,30 @@ def test_conv3d_gradients_match_finite_differences():
     xc = Tensor(x.data)
     assert ad.grad_check(lambda t: (ad.conv3d(xc, t) * seed).sum(),
                          Tensor(w.data)) < 1e-6
+    # square channels (a missing in/out swap of the input gradient runs
+    # silently) and a non-cubic kernel on a non-cubic volume
+    w = Tensor(rng.normal(size=(2, 2, 3, 1, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 3, 4, 6)), requires_grad=True)
+    seed = rng.normal(size=(2, 3, 4, 6))
+    assert ad.grad_check(lambda t: (ad.conv3d(t, w) * seed).sum(), x) < 1e-6
+    assert ad.grad_check(lambda t: (ad.conv3d(x, t) * seed).sum(), w) < 1e-6
+
+
+def test_conv3d_graph_keeps_no_columns():
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(4, 4, 8, 8)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4, 3, 3, 3)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv3d(x, w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the im2col columns are 27x the input; the node may keep its output only
+    assert held < 3 * out.data.nbytes
+    out.backward()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
 def test_conv3d_rejects_even_kernel():

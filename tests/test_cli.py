@@ -169,6 +169,22 @@ def test_stack_eval_at_k_equals_plain_eval(dataset, run_dir, tmp_path, capsys):
                 == (stacked / "reconstructions" / f"vol_{i}.f64").read_bytes())
 
 
+def test_stack_eval_use_pre_refine_ignores_the_refine(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run)) == 0
+    stack_eval = ["stack-eval", "--run", str(run), "--data", str(dataset),
+                  "--total-frames", "8", "--out"]
+    assert main(stack_eval + [str(tmp_path / "before")]) == 0
+    assert main(["refine", "--run", str(run), "--data", str(dataset),
+                 "--epochs-refine", "1"]) == 0
+    assert main(stack_eval + [str(tmp_path / "pre"), "--use-pre-refine"]) == 0
+    assert main(stack_eval + [str(tmp_path / "after")]) == 0
+    capsys.readouterr()
+    before = (tmp_path / "before" / "metrics.json").read_bytes()
+    assert (tmp_path / "pre" / "metrics.json").read_bytes() == before
+    assert (tmp_path / "after" / "metrics.json").read_bytes() != before
+
+
 def test_stack_eval_marks_transitions(dataset, run_dir, tmp_path, capsys):
     out = tmp_path / "t8"
     assert main(["stack-eval", "--run", str(run_dir), "--data", str(dataset),
