@@ -268,7 +268,8 @@ def conv3d(x, w):
     the output is [C_out, T, H, W]. The output, the weight gradient and the
     input gradient (the correlation of the upstream gradient with the kernel
     flipped in space and transposed in channels) are each one matmul against
-    `_columns`; the backward rebuilds the columns instead of keeping them.
+    `_columns`; the backward rebuilds the columns instead of keeping them, and
+    skips the input gradient when `x` does not require grad.
     """
     if x.ndim != 4 or w.ndim != 5:
         raise AutodiffError("conv3d expects x rank 4 and w rank 5")
@@ -282,6 +283,8 @@ def conv3d(x, w):
 
     def back(g):
         gw = (g.reshape(cout, -1) @ _columns(x.data, k).T).reshape(w.data.shape)
+        if not x.requires_grad:
+            return None, gw
         w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(cin, -1)
         return ((w_adj @ _columns(g, k)).reshape(x.data.shape), gw)
 
@@ -309,7 +312,7 @@ def _toposort(root):
 
 
 def backward(output, seed=None):
-    """Reverse-mode sweep from `output`; returns {id(leaf): grad}.
+    """Reverse-mode sweep from `output`.
 
     The graph is consumed: a second sweep from the same output is an error.
     Gradients accumulate into `.grad` of every requires_grad leaf, so several
@@ -327,14 +330,9 @@ def backward(output, seed=None):
 
     order = _toposort(output)
     output._accumulate(seed)
-    grads = {}
     for node in reversed(order):
         node._done = True
-        if node._backward is None:
-            if node.requires_grad and node.grad is not None:
-                grads[id(node)] = node.grad
-            continue
-        if node.grad is None:
+        if node._backward is None or node.grad is None:
             continue
         _check_finite(node.grad, "intermediate gradient")
         contribs = node._backward(node.grad)
@@ -343,7 +341,6 @@ def backward(output, seed=None):
                 parent._accumulate(contrib)
         if node is not output:
             node.grad = None  # free intermediates
-    return grads
 
 
 def grad_check(f, x, h=1e-5):

@@ -190,8 +190,7 @@ def cmd_refine(args):
     samples_2k = [u for v in volumes
                   for u in dz.partition_frames(v, 2 * k, pad=False)]
 
-    tcfg = pl.TrainConfig(epochs_main=cfg["epochs"], epochs_refine=args.epochs_refine,
-                          lr_traj=cfg["lr_traj"], lr_net=cfg["lr_net"],
+    tcfg = pl.TrainConfig(epochs_refine=args.epochs_refine,
                           lr_traj_refine=args.lr_traj_refine,
                           lr_net_refine=args.lr_net_refine,
                           batch=cfg["batch"], lambda_ref=args.lambda_ref,

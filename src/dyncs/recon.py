@@ -166,16 +166,6 @@ def _crop(x: Tensor, pads, shape):
     return x[sl]
 
 
-def _tokens_flat(x: Tensor):
-    c, t, h, w = x.shape
-    return x.reshape(c, t * h * w).transpose((1, 0))  # [THW, C]
-
-
-def _tokens_unflat(tokens: Tensor, shape):
-    c, t, h, w = shape
-    return tokens.transpose((1, 0)).reshape(c, t, h, w)
-
-
 def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
                   record_attention: bool = False):
     """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records)."""
@@ -199,13 +189,13 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
             records.append(AttentionRecord(
                 weights=weights, window=cfg.window,
                 grid=(t // wt, h // wh, w // ww), block_index=i))
-        x = x + _crop(window_unpartition(att, cfg.window, xp.shape), pads, shape)
-        # tokenwise MLP with residual
-        tok = _tokens_flat(x)
-        hmid = ad.layer_norm(tok, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        win = win + att
+        # tokenwise MLP with residual, on the same window tokens; the pad
+        # tokens it also transforms are cropped away below
+        hmid = ad.layer_norm(win, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         hmid = (hmid @ params[f"{p}.mlp.w1"] + params[f"{p}.mlp.b1"]).relu()
-        hmid = hmid @ params[f"{p}.mlp.w2"] + params[f"{p}.mlp.b2"]
-        x = x + _tokens_unflat(hmid, shape)
+        win = win + (hmid @ params[f"{p}.mlp.w2"] + params[f"{p}.mlp.b2"])
+        x = _crop(window_unpartition(win, cfg.window, xp.shape), pads, shape)
         # convolution with residual
         x = x + ad.conv3d(x, params[f"{p}.conv.w"]) + params[f"{p}.conv.b"]
 

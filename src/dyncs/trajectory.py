@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 # MRI golden angle, 111.246 degrees: pi * (sqrt(5) - 1) / 2 radians.
 GOLDEN_ANGLE = np.pi * (np.sqrt(5.0) - 1.0) / 2.0
+# Dual FISTA iterations before the kinematic projection gives up.
+MAX_ITER = 20000
 
 
 class TrajectoryError(ValueError):
@@ -99,9 +102,12 @@ def kinematic_bounds(p: PhysicsConfig) -> KinematicBounds:
     return KinematicBounds(alpha=alpha, beta=beta)
 
 
-def _spoke(angle, m, span):
+def _spokes(angles, m, span):
+    """Straight spokes through the origin at angles [T, S]: a [T, S, m, 2]
+    trajectory of m points evenly spaced over [-span, span]."""
     radii = np.linspace(-span, span, m)
-    return np.stack([radii * np.cos(angle), radii * np.sin(angle)], axis=-1)
+    a = angles[..., None]
+    return Trajectory(np.stack([radii * np.cos(a), radii * np.sin(a)], axis=-1))
 
 
 def init_radial(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
@@ -110,8 +116,8 @@ def init_radial(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
         raise TrajectoryError("radial init needs m >= 2")
     if n_frames < 1 or n_shots < 1:
         raise TrajectoryError("invalid sizes")
-    frame = np.stack([_spoke(np.pi * s / n_shots, m, span) for s in range(n_shots)])
-    return Trajectory(np.broadcast_to(frame, (n_frames,) + frame.shape).copy())
+    angles = np.pi * np.arange(n_shots) / n_shots
+    return _spokes(np.broadcast_to(angles, (n_frames, n_shots)), m, span)
 
 
 def init_golden_angle(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
@@ -120,13 +126,8 @@ def init_golden_angle(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
         raise TrajectoryError("golden-angle init needs m >= 2")
     if n_frames < 1 or n_shots < 1:
         raise TrajectoryError("invalid sizes")
-    coords = np.empty((n_frames, n_shots, m, 2))
-    idx = 0
-    for t in range(n_frames):
-        for s in range(n_shots):
-            coords[t, s] = _spoke(idx * GOLDEN_ANGLE, m, span)
-            idx += 1
-    return Trajectory(coords)
+    angles = np.arange(n_frames * n_shots).reshape(n_frames, n_shots) * GOLDEN_ANGLE
+    return _spokes(angles, m, span)
 
 
 def _block_shrink(u, radius):
@@ -153,75 +154,61 @@ def _batch_violation(c, b):
     return max(*_kinematic_violations(c, b), float(np.max(np.abs(c)) - np.pi))
 
 
-def _project_curves(c0, b, tol, max_iter):
+def _project_curves(c0, b, tol):
     """Approximate Euclidean projection of a batch of curves [B, m, 2] onto
         { ||D1 c||_i <= alpha, ||D2 c||_i <= beta, |c| <= pi }.
 
-    Accelerated (FISTA) ascent on the dual, with block soft-thresholding
-    (and, for the box, the Moreau identity prox(u) = u - t*clip(u/t)) as
-    the prox of the constraint support functions. Every 25 iterations the
-    primal iterate is checked, and the first one feasible to `tol` is
-    returned: a feasible point near the projection, not the projection
-    itself, so the map need not be firmly non-expansive. A batch already
-    feasible to `tol` is returned unchanged.
+    The three constraints act through one stacked operator K = [D1; D2; I]:
+    m-1 first-difference, m-2 second-difference and m identity rows, a CSR
+    matrix built once per call. The curves lie along its columns,
+    x0 = [m, 2B], so K and K^T each act on the whole batch in one sparse
+    product. Accelerated (FISTA) ascent on the dual y [3m-3, 2B] gives the
+    primal c = x0 - K^T y; the prox of the constraint support functions is
+    block soft-thresholding on the velocity and acceleration rows and the
+    Moreau identity prox(u) = u - t*clip(u/t) on the box rows. Every 25
+    iterations the primal iterate is checked, and the first one feasible to
+    `tol` is returned: a feasible point near the projection, not the
+    projection itself, so the map need not be firmly non-expansive. A batch
+    already feasible to `tol` is returned unchanged.
     """
     bsz, m, _ = c0.shape
     if m == 1:
         return np.clip(c0, -np.pi, np.pi)
     if _batch_violation(c0, b) <= tol:
         return c0.copy()  # already within tolerance: fixed point, exact idempotency
-    has2 = m >= 3
-    step = 1.0 / (4.0 + 1.0 + (16.0 if has2 else 0.0))
+    k = sparse.vstack([sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)),
+                       sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 2, m)),
+                       sparse.identity(m)], format="csr")
+    kt = k.T.tocsr()  # a product with the CSC view k.T is ~2.5x slower
+    step = 1.0 / (4.0 + 1.0 + (16.0 if m >= 3 else 0.0))  # 1 / bound on ||K||^2
+    x0 = c0.transpose(1, 0, 2).reshape(m, 2 * bsz)
 
-    def d1(c):
-        return c[:, 1:] - c[:, :-1]
+    def curves(y):
+        return (x0 - kt @ y).reshape(m, bsz, 2).transpose(1, 0, 2)
 
-    def d2(c):
-        return c[:, 2:] - 2.0 * c[:, 1:-1] + c[:, :-2]
-
-    def primal(a1, a2, a3):
-        c = c0 - a3
-        c[:, :-1] += a1
-        c[:, 1:] -= a1
-        if has2:
-            c[:, :-2] -= a2
-            c[:, 1:-1] += 2.0 * a2
-            c[:, 2:] -= a2
-        return c
-
-    q1 = np.zeros((bsz, m - 1, 2))
-    q2 = np.zeros((bsz, m - 2, 2)) if has2 else None
-    q3 = np.zeros((bsz, m, 2))
-    y1, y2, y3 = q1, q2, q3
+    q = np.zeros((3 * m - 3, 2 * bsz))
+    y = q
     tk = 1.0
-    for it in range(max_iter):
-        c = primal(y1, y2, y3)
-        q1n = _block_shrink(y1 + step * d1(c), step * b.alpha)
-        q2n = _block_shrink(y2 + step * d2(c), step * b.beta) if has2 else None
-        u = y3 + step * c
-        q3n = u - step * np.clip(u / step, -np.pi, np.pi)
+    for it in range(MAX_ITER):
+        u = (y + step * (k @ (x0 - kt @ y))).reshape(-1, bsz, 2)
+        vel, acc, box = np.split(u, [m - 1, 2 * m - 3])
+        qn = np.concatenate([_block_shrink(vel, step * b.alpha),
+                             _block_shrink(acc, step * b.beta),
+                             box - step * np.clip(box / step, -np.pi, np.pi)]).reshape(q.shape)
         # Adaptive restart: drop momentum when it opposes the ascent step.
-        osc = float(np.vdot(y1 - q1n, q1n - q1)) + float(np.vdot(y3 - q3n, q3n - q3))
-        if has2:
-            osc += float(np.vdot(y2 - q2n, q2n - q2))
-        if osc > 0.0:
+        if float(np.vdot(y - qn, qn - q)) > 0.0:
             tk = 1.0
         tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        w = (tk - 1.0) / tk_new
-        y1 = q1n + w * (q1n - q1)
-        y3 = q3n + w * (q3n - q3)
-        if has2:
-            y2 = q2n + w * (q2n - q2)
-        q1, q2, q3, tk = q1n, q2n, q3n, tk_new
-        if it % 25 == 24 or it == max_iter - 1:
-            c = primal(q1, q2, q3)
+        y = qn + (tk - 1.0) / tk_new * (qn - q)
+        q, tk = qn, tk_new
+        if it % 25 == 24 or it == MAX_ITER - 1:
+            c = curves(q)
             if _batch_violation(c, b) <= tol:
                 return np.clip(c, -np.pi, np.pi)
-    raise ProjectionError(_batch_violation(primal(q1, q2, q3), b))
+    raise ProjectionError(_batch_violation(curves(q), b))
 
 
-def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8,
-                      max_iter=20000) -> Trajectory:
+def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8) -> Trajectory:
     """Map every shot of every frame onto the kinematically feasible set:
     the first FISTA iterate of `_project_curves` feasible to `tol`, an
     approximation of the Euclidean projection."""
@@ -229,7 +216,7 @@ def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8,
         raise TrajectoryError("tol must be positive")
     shape = k.coords.shape
     flat = k.coords.reshape(-1, shape[2], 2)
-    out = _project_curves(flat, b, tol, max_iter).reshape(shape)
+    out = _project_curves(flat, b, tol).reshape(shape)
     return Trajectory(out, learnable=k.learnable)
 
 

@@ -238,6 +238,19 @@ def test_conv3d_graph_keeps_no_columns():
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+def test_conv3d_skips_input_gradient_of_constant_input(monkeypatch):
+    calls = []
+    columns = ad._columns
+    monkeypatch.setattr(ad, "_columns", lambda x, k: calls.append(1) or columns(x, k))
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    w = Tensor(rng.normal(size=(3, 2, 3, 3, 3)), requires_grad=True)
+    ad.conv3d(x, w).sum().backward()
+    # the output and the weight gradient; no input gradient
+    assert len(calls) == 2
+    assert x.grad is None and w.grad.shape == w.shape
+
+
 def test_conv3d_rejects_even_kernel():
     with pytest.raises(AutodiffError):
         ad.conv3d(Tensor(np.ones((1, 2, 2, 2))), Tensor(np.ones((1, 1, 2, 3, 3))))

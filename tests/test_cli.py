@@ -109,16 +109,18 @@ def test_refine_without_prior_run_is_usage_error(dataset, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_refine_appends_history_and_writes_artifacts(dataset, run_dir):
-    before = (run_dir / "history.csv").read_text().count("\n")
-    rc = main(["refine", "--run", str(run_dir), "--data", str(dataset),
+def test_refine_appends_history_and_writes_artifacts(dataset, run_dir, tmp_path):
+    run = tmp_path / "run"  # a copy: later tests read the shared run unrefined
+    shutil.copytree(run_dir, run)
+    before = (run / "history.csv").read_text().count("\n")
+    rc = main(["refine", "--run", str(run), "--data", str(dataset),
                "--epochs-refine", "1"])
     assert rc == 0
-    after = (run_dir / "history.csv").read_text()
+    after = (run / "history.csv").read_text()
     assert after.count("\n") == before + 1
     assert "refine" in after
     for name in ("checkpoint_refined.json", "traj_refined.csv", "mu_stats.json"):
-        assert (run_dir / name).exists()
+        assert (run / name).exists()
 
 
 def test_second_refine_replaces_refine_rows(dataset, run_dir, tmp_path):

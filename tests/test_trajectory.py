@@ -159,6 +159,15 @@ def test_projection_output_respects_coordinate_box():
     c0 = np.full((1, 1, 4, 2), np.pi)  # on the box boundary, feasible diffs
     out = project_kinematic(Trajectory(c0), b)
     assert np.all(np.abs(out.coords) <= np.pi)
+    # the box binds: without it the acceleration bound would move the first
+    # point to pi + 0.08; KKT multipliers 0.08 (box) and 0.08 (D2)
+    b = KinematicBounds(alpha=1.0, beta=0.1)
+    c0 = np.array([[[[np.pi, 0.0], [np.pi, 0.0], [np.pi - 0.5, 0.0]]]])
+    out = project_kinematic(Trajectory(c0), b)
+    assert np.all(np.abs(out.coords) <= np.pi)
+    np.testing.assert_allclose(out.coords[0, 0, :, 0],
+                               [np.pi, np.pi - 0.16, np.pi - 0.42], atol=2e-3)
+    np.testing.assert_allclose(out.coords[0, 0, :, 1], 0.0, atol=2e-3)
 
 
 def test_projection_rejects_bad_tolerance():
