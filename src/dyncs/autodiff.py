@@ -140,10 +140,14 @@ class Tensor:
         data = np.matmul(self.data, other.data)
 
         def back(g):
-            ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
-            gb = np.matmul(np.swapaxes(self.data, -1, -2), g)
-            return (_unbroadcast(ga, self.data.shape),
-                    _unbroadcast(gb, other.data.shape))
+            ga = gb = None
+            if self.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)),
+                                  self.data.shape)
+            if other.requires_grad:
+                gb = _unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g),
+                                  other.data.shape)
+            return ga, gb
 
         return Tensor.from_op(data, (self, other), back)
 
@@ -162,9 +166,15 @@ class Tensor:
                               lambda g: (g.transpose(inv),))
 
     def __getitem__(self, idx):
+        # basic indices select distinct entries, so the backward assigns g
+        parts = idx if isinstance(idx, tuple) else (idx,)
+        if any(isinstance(p, bool) or not isinstance(
+                p, (int, np.integer, slice, type(None), type(Ellipsis))) for p in parts):
+            raise AutodiffError(f"only basic indices are supported, got {idx!r}")
+
         def back(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            full[idx] = g
             return (full,)
 
         return Tensor.from_op(self.data[idx], (self,), back)
@@ -269,7 +279,7 @@ def conv3d(x, w):
     input gradient (the correlation of the upstream gradient with the kernel
     flipped in space and transposed in channels) are each one matmul against
     `_columns`; the backward rebuilds the columns instead of keeping them, and
-    skips the input gradient when `x` does not require grad.
+    skips the gradient of an operand that does not require grad.
     """
     if x.ndim != 4 or w.ndim != 5:
         raise AutodiffError("conv3d expects x rank 4 and w rank 5")
@@ -282,11 +292,13 @@ def conv3d(x, w):
     out = (w.data.reshape(cout, -1) @ _columns(x.data, k)).reshape(cout, t, h, wd)
 
     def back(g):
-        gw = (g.reshape(cout, -1) @ _columns(x.data, k).T).reshape(w.data.shape)
-        if not x.requires_grad:
-            return None, gw
-        w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(cin, -1)
-        return ((w_adj @ _columns(g, k)).reshape(x.data.shape), gw)
+        gx = gw = None
+        if w.requires_grad:
+            gw = (g.reshape(cout, -1) @ _columns(x.data, k).T).reshape(w.data.shape)
+        if x.requires_grad:
+            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(cin, -1)
+            gx = (w_adj @ _columns(g, k)).reshape(x.data.shape)
+        return gx, gw
 
     return Tensor.from_op(out, (x, w), back)
 
@@ -341,35 +353,6 @@ def backward(output, seed=None):
                 parent._accumulate(contrib)
         if node is not output:
             node.grad = None  # free intermediates
-
-
-def grad_check(f, x, h=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` maps a Tensor to a scalar Tensor; probes every coordinate of `x`.
-    """
-    if not (0.0 < h <= 1e-2):
-        raise AutodiffError("step h must lie in (0, 1e-2]")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    out = f(probe)
-    if out.data.size != 1:
-        raise AutodiffError("grad_check requires a scalar-valued function")
-    out.backward()
-    analytic = probe.grad.ravel() if probe.grad is not None else np.zeros(probe.size)
-
-    flat = x.data.ravel().copy()
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        for sign in (+1.0, -1.0):
-            flat[i] += sign * h
-            val = f(Tensor(flat.reshape(x.data.shape))).item()
-            if not np.isfinite(val):
-                raise AutodiffError("function non-finite at finite-difference probe")
-            numeric[i] += sign * val
-            flat[i] -= sign * h
-        numeric[i] /= 2.0 * h
-    return float(np.max(np.abs(analytic - numeric)
-                        / (np.abs(analytic) + np.abs(numeric) + 1e-12)))
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Image-quality metrics: PSNR, pixel-domain VIF and FSIM, plus the
 transition-artifact report for stacked reconstructions.
 
-VIF and FSIM are computed per frame and averaged; `psnr` (and so
+VIF and FSIM are computed per frame and averaged; all frames of a [T,H,W]
+stack go through each filter, transform and sum together, and every frame's
+value is the one it would get alone under the same peak. `psnr` (and so
 `metric_report["psnr"]`) is the PSNR of the whole volume, one MSE over every
 voxel, and `psnr_per_frame` gives it per frame. Inputs are magnitude images;
 VIF and FSIM rescale them to a reference peak of 255, where their published
@@ -51,16 +53,17 @@ def psnr_per_frame(x, ref, peak=1.0):
 
 # -- VIF (pixel domain) -------------------------------------------------------
 
-def _vif_frame(ref, dist, sigma_nsq=2.0, eps=1e-10):
-    num = 0.0
-    den = 0.0
+def _vif_frames(ref, dist, sigma_nsq=2.0, eps=1e-10):
+    """VIF of each frame of dist [T,H,W] against the same frame of ref."""
+    num = np.zeros(ref.shape[0])
+    den = np.zeros(ref.shape[0])
     for scale in range(1, 5):
         n = 2 ** (4 - scale + 1) + 1
-        sd = n / 5.0
+        sd = (0.0, n / 5.0, n / 5.0)  # a zero sigma leaves the frame axis alone
         if scale > 1:
-            ref = ndimage.gaussian_filter(ref, sd)[::2, ::2]
-            dist = ndimage.gaussian_filter(dist, sd)[::2, ::2]
-        if min(ref.shape) < 3:
+            ref = ndimage.gaussian_filter(ref, sd)[:, ::2, ::2]
+            dist = ndimage.gaussian_filter(dist, sd)[:, ::2, ::2]
+        if min(ref.shape[1:]) < 3:
             raise MetricError("frame too small for the 4-scale VIF pyramid")
         mu1 = ndimage.gaussian_filter(ref, sd)
         mu2 = ndimage.gaussian_filter(dist, sd)
@@ -78,11 +81,9 @@ def _vif_frame(ref, dist, sigma_nsq=2.0, eps=1e-10):
         g[g < 0] = 0.0
         sv_sq = np.maximum(sv_sq, eps)
 
-        num += np.sum(np.log10(1.0 + g * g * sigma1_sq / (sv_sq + sigma_nsq)))
-        den += np.sum(np.log10(1.0 + sigma1_sq / sigma_nsq))
-    if den == 0.0:
-        return 1.0
-    return float(num / den)
+        num += np.sum(np.log10(1.0 + g * g * sigma1_sq / (sv_sq + sigma_nsq)), axis=(1, 2))
+        den += np.sum(np.log10(1.0 + sigma1_sq / sigma_nsq), axis=(1, 2))
+    return np.divide(num, den, out=np.ones_like(num), where=den != 0.0)
 
 
 def vif_p(x, ref):
@@ -90,13 +91,11 @@ def vif_p(x, ref):
     x, ref = _check_pair(x, ref)
     peak = ref.max()
     scale = 255.0 / peak if peak > 0 else 1.0
-    vals = []
-    for t in range(x.shape[0]):
-        if np.array_equal(x[t], ref[t]):
-            vals.append(1.0)  # identical-signal property, exact by definition
-        else:
-            vals.append(_vif_frame(ref[t] * scale, x[t] * scale))
-    return float(np.mean(vals)), vals
+    vals = np.ones(x.shape[0])  # identical-signal property, exact by definition
+    differ = np.any(x != ref, axis=(1, 2))
+    if differ.any():
+        vals[differ] = _vif_frames(ref[differ] * scale, x[differ] * scale)
+    return float(np.mean(vals)), vals.tolist()
 
 
 # -- FSIM ---------------------------------------------------------------------
@@ -132,7 +131,7 @@ def _log_gabor_bank(h, w, scales=4, orientations=4, wavelength=6.0,
         dc = cos_t * np.cos(phi) + sin_t * np.sin(phi)
         dtheta = np.arctan2(ds, dc)
         angular = np.exp(-dtheta ** 2 / (2.0 * sigma_theta ** 2))
-        filters = [lg * angular for lg in radial]
+        filters = np.stack([lg * angular for lg in radial])
         # noise-threshold moments; they depend on the filters only
         expect_m2 = np.mean(filters[0] ** 2)
         spatial = [np.real(np.fft.ifft2(f)) for f in filters]
@@ -142,45 +141,46 @@ def _log_gabor_bank(h, w, scales=4, orientations=4, wavelength=6.0,
 
 
 def _phase_congruency(img, bank, k=2.0, rescale=1.7):
-    """Kovesi-style phase congruency with noise-threshold compensation; `bank`
-    holds (filters by scale, E[m0^2], sum_ij <m_i, m_j>) per orientation."""
-    h, w = img.shape
-    fimg = np.fft.fft2(img)
-    pc = np.zeros((h, w))
+    """Kovesi-style phase congruency of each frame of img [T,H,W], with
+    noise-threshold compensation; `bank` holds (filters [scales,H,W], E[m0^2],
+    sum_ij <m_i, m_j>) per orientation."""
+    fimg = np.fft.fft2(img)[:, None]
+    pc = np.zeros(img.shape)
     for orient_filters, expect_m2, expect_mimj in bank:
-        eo = [np.fft.ifft2(fimg * f) for f in orient_filters]
-        amps = [np.abs(e) for e in eo]
-        sum_e = np.sum(eo, axis=0)
-        sum_a = np.sum(amps, axis=0)
+        eo = np.fft.ifft2(fimg * orient_filters)  # [T, scales, H, W]
+        amps = np.abs(eo)
+        sum_e = eo.sum(axis=1)
+        sum_a = amps.sum(axis=1)
 
-        # noise threshold estimated from the smallest-scale response
-        a2_median = np.median(amps[0] ** 2)
+        # noise threshold estimated from each frame's smallest-scale response
+        a2_median = np.median((amps[:, 0] ** 2).reshape(len(img), -1), axis=-1)
         expect_a2 = a2_median / np.log(2.0)
-        sigma_g = np.sqrt(max(expect_a2 * expect_mimj / max(expect_m2, 1e-300), 0.0))
+        sigma_g = np.sqrt(np.maximum(expect_a2 * expect_mimj / max(expect_m2, 1e-300), 0.0))
         mu_r = sigma_g * np.sqrt(np.pi / 2.0)
         sigma_r = sigma_g * np.sqrt(2.0 - np.pi / 2.0)
         threshold = (mu_r + k * sigma_r) / rescale
 
-        fh = sum_e / (np.abs(sum_e) + EPS)
-        dot = np.real(np.sum([e.real * fh.real + e.imag * fh.imag for e in eo], axis=0))
-        cross = np.sum([np.abs(e.real * fh.imag - e.imag * fh.real) for e in eo], axis=0)
-        energy = np.maximum(dot - cross - threshold, 0.0)
+        fh = (sum_e / (np.abs(sum_e) + EPS))[:, None]
+        dot = (eo.real * fh.real + eo.imag * fh.imag).sum(axis=1)
+        cross = np.abs(eo.real * fh.imag - eo.imag * fh.real).sum(axis=1)
+        energy = np.maximum(dot - cross - threshold[:, None, None], 0.0)
         pc += energy / (sum_a + EPS)
     return pc
 
 
-_SCHARR = np.array([[3.0, 0.0, -3.0],
-                    [10.0, 0.0, -10.0],
-                    [3.0, 0.0, -3.0]]) / 16.0
+_SCHARR = np.array([[[3.0, 0.0, -3.0],
+                     [10.0, 0.0, -10.0],
+                     [3.0, 0.0, -3.0]]]) / 16.0  # [1,3,3]: within each frame
 
 
 def _gradient_magnitude(img):
     gx = ndimage.convolve(img, _SCHARR, mode="reflect")
-    gy = ndimage.convolve(img, _SCHARR.T, mode="reflect")
+    gy = ndimage.convolve(img, _SCHARR.transpose(0, 2, 1), mode="reflect")
     return np.sqrt(gx * gx + gy * gy)
 
 
-def _fsim_frame(x, ref, bank, t1=0.85, t2=160.0):
+def _fsim_frames(x, ref, bank, t1=0.85, t2=160.0):
+    """FSIM of each frame of x [T,H,W] against the same frame of ref."""
     pc_x = _phase_congruency(x, bank)
     pc_r = _phase_congruency(ref, bank)
     g_x = _gradient_magnitude(x)
@@ -190,7 +190,8 @@ def _fsim_frame(x, ref, bank, t1=0.85, t2=160.0):
     s_g = (2.0 * g_x * g_r + t2) / (g_x ** 2 + g_r ** 2 + t2)
     pc_m = np.maximum(pc_x, pc_r)
     # eps guards make the flat-vs-flat case well defined (similarities are 1)
-    return float((np.sum(s_pc * s_g * pc_m) + EPS) / (np.sum(pc_m) + EPS))
+    return ((np.sum(s_pc * s_g * pc_m, axis=(1, 2)) + EPS)
+            / (np.sum(pc_m, axis=(1, 2)) + EPS))
 
 
 def fsim(x, ref):
@@ -199,8 +200,8 @@ def fsim(x, ref):
     peak = ref.max()
     scale = 255.0 / peak if peak > 0 else 1.0
     bank = _log_gabor_bank(*x.shape[1:])
-    vals = [_fsim_frame(x[t] * scale, ref[t] * scale, bank) for t in range(x.shape[0])]
-    return float(np.mean(vals)), vals
+    vals = _fsim_frames(x * scale, ref * scale, bank)
+    return float(np.mean(vals)), vals.tolist()
 
 
 # -- reports ------------------------------------------------------------------

@@ -4,7 +4,10 @@ coords, and the emulated acquisition AᴴA as one autodiff graph node.
 Each call builds per-axis phase tables [T, S*m, H] and [T, S*m, W] from its
 coordinates, by the exact factorization exp(-i (kx*x + ky*y)) =
 exp(-i kx*x) * exp(-i ky*y), and contracts the image against them, batched
-over frames; no state is kept between calls. Conventions:
+over frames; no state is kept between calls. `acquire` also takes leading
+batch axes: images [..., T, H, W] share one set of tables, built once per
+forward and once per backward, and its coordinate gradient is summed over
+those axes. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
   * image indices are centered: x in {-H//2, ..., H - H//2 - 1}, y likewise;
@@ -47,23 +50,25 @@ def _phase_tables(coords, h, w):
 
 
 def _forward(ex, ey, z):
-    """Unscaled forward transform of z [T,H,W] -> [T, S*m]."""
+    """Unscaled forward transform of z [..., T,H,W] -> [..., T, S*m]."""
     return (ex @ z * ey).sum(-1)
 
 
 def _adjoint(ex, ey, x):
-    """Unscaled adjoint transform of x [T, S*m] -> [T,H,W]."""
+    """Unscaled adjoint transform of x [..., T, S*m] -> [..., T,H,W]."""
     return ex.conj().swapaxes(1, 2) @ (x[..., None] * ey.conj())
 
 
 def _coord_term(a, z, ez, ex, ey):
     """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[t,x,y]
-    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a.
-    `ez` is ex @ z * ey, the forward transform of z before its sum over y."""
-    xs, ys = _centered_axes(*z.shape[1:])
+    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a,
+    summed over the leading axes of z [..., T,H,W]. `ez` is ex @ z * ey, the
+    forward transform of z before its sum over y."""
+    xs, ys = _centered_axes(*z.shape[-2:])
     a = a.conj()
     fx = _forward(ex * xs, ey, z)
-    return np.stack([np.imag(a * fx), np.imag(a * (ez @ ys))], axis=-1)
+    term = np.stack([np.imag(a * fx), np.imag(a * (ez @ ys))], axis=-1)
+    return term.reshape((-1,) + term.shape[-3:]).sum(0)
 
 
 def nudft_forward(z, coords):
@@ -87,15 +92,17 @@ def nudft_adjoint(x, coords, out_shape):
 
 
 def acquire(z, coords: Tensor) -> Tensor:
-    """Emulated acquisition AᴴA z / (H*W) of a constant real image z [T,H,W]
-    on the coords Tensor [T,S,m,2]: the regridded volume as (real, imag)
-    channels [2,T,H,W].
+    """Emulated acquisition AᴴA z / (H*W) of constant real images
+    z [..., T,H,W] on the coords Tensor [T,S,m,2]: the regridded volumes as
+    (real, imag) channels [..., 2,T,H,W]. Every image along the leading axes
+    is acquired with the same coords, from one build of the phase tables.
 
     With X = A z and complex upstream G, U = A G / (H*W), the coordinate
-    gradient is Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk).
+    gradient is Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk), each
+    term summed over the leading axes.
     """
     z = np.asarray(z, dtype=np.float64)
-    t_frames, h, w = z.shape
+    *_, t_frames, h, w = z.shape
     cd = _validate_coords(coords.data, t_frames)
     ex, ey = _phase_tables(cd, h, w)
     x = _forward(ex, ey, z)
@@ -103,7 +110,7 @@ def acquire(z, coords: Tensor) -> Tensor:
 
     def back(g):
         ex, ey = _phase_tables(cd, h, w)  # rebuilt, not kept alive by the graph
-        gu = g[0] + 1j * g[1]
+        gu = g[..., 0, :, :, :] + 1j * g[..., 1, :, :, :]
         egu = ex @ gu * ey
         u = egu.sum(-1) / (h * w)
         return (_coord_term(x, gu, egu, ex, ey).reshape(cd.shape) / (h * w),
@@ -112,7 +119,7 @@ def acquire(z, coords: Tensor) -> Tensor:
     # coords is a parent twice, once per transform, so the adjoint's and then
     # the forward's gradient term accumulate into coords.grad one at a time:
     # a batch sums them in the same order as two separate transform nodes.
-    return Tensor.from_op(np.stack([zt.real, zt.imag]), (coords, coords), back)
+    return Tensor.from_op(np.stack([zt.real, zt.imag], axis=-4), (coords, coords), back)
 
 
 def cartesian_grid_coords(t_frames, h, w):

@@ -127,10 +127,18 @@ def loss_refine(z_hat_stacked: Tensor, z, stats: MuStats, lambda_ref,
 def _recon_windows(z, coords_t, params, rcfg):
     """Acquire and reconstruct each k-frame window of the sequence `z` with
     the k-frame trajectory `coords_t` (k = coords_t.shape[0]), the last
-    window zero-padded to k frames; yields one [k,H,W] tensor per window."""
-    for window in partition_frames(z, coords_t.shape[0]):
-        z_hat, _ = recon_forward(acquire(window, coords_t), rcfg, params)
+    window zero-padded to k frames; yields one [k,H,W] tensor per window.
+    All windows are acquired in one `acquire` call, so the trajectory's
+    phase tables are built once per sequence."""
+    regrid = acquire(np.stack(partition_frames(z, coords_t.shape[0])), coords_t)
+    for i in range(regrid.shape[0]):
+        z_hat, _ = recon_forward(regrid[i], rcfg, params)
         yield z_hat
+
+
+def _constants(params):
+    """The network parameters as constants, so no graph tracks them."""
+    return {name: Tensor(p.data) for name, p in params.items()}
 
 
 # -- training -----------------------------------------------------------------
@@ -161,9 +169,11 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
          seed, lr_net, lr_traj) -> TrainResult:
     """Adam on the network parameters (held fixed when `lr_net` is None) and
     on the trajectory coords, which are re-projected onto the feasible set
-    after every update. `loss_fn(z, coords_t)` is the per-sample loss; the
-    validation loss is its mean over the held-out samples on frozen coords.
-    History records one row per epoch. Deterministic given `seed`.
+    after every update. `loss_fn(z, coords_t, net)` is the per-sample loss of
+    the network parameters `net`: `params` itself, or constants over the same
+    arrays when they are held fixed. The validation loss is its mean over the
+    held-out samples on frozen coords and constant parameters. History
+    records one row per epoch. Deterministic given `seed`.
     """
     rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
@@ -174,6 +184,7 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
 
     net_states = None if lr_net is None else {
         name: AdamState.init(p.shape, lr_net) for name, p in params.items()}
+    net = params if net_states is not None else _constants(params)
     traj_state = AdamState.init(coords.shape, lr_traj) if (
         trajectory.learnable and lr_traj > 0) else None
 
@@ -189,7 +200,7 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
             for name in sorted(params):
                 params[name].grad = None
             for i in batch:
-                loss = loss_fn(volumes[i], coords_t)
+                loss = loss_fn(volumes[i], coords_t, net)
                 if not np.isfinite(loss.item()):
                     raise TrainingDiverged(
                         f"loss became non-finite during {stage} epoch {epoch}")
@@ -209,7 +220,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
             vel, acc = feasibility_report(Trajectory(coords), bounds)
             max_violation = max(max_violation, vel, acc)
         frozen = Tensor(coords)
-        vals = [loss_fn(volumes[i], frozen).item() for i in val_idx]
+        vals = [loss_fn(volumes[i], frozen, _constants(params)).item()
+                for i in val_idx]
         history.append({"epoch": epoch, "stage": stage,
                         "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": float(np.mean(vals)) if vals else float("nan"),
@@ -222,8 +234,8 @@ def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
                rcfg: ReconConfig, params: dict, trajectory: Trajectory) -> TrainResult:
     """Joint Adam optimization of network parameters and trajectory coords
     on k-frame samples, with the MSE loss."""
-    def loss_fn(z, coords_t):
-        return loss_main(ad.concat(_recon_windows(z, coords_t, params, rcfg)), z)
+    def loss_fn(z, coords_t, net):
+        return loss_main(ad.concat(_recon_windows(z, coords_t, net, rcfg)), z)
 
     return _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, "main",
                 tcfg.epochs_main, tcfg.seed, tcfg.lr_net, tcfg.lr_traj)
@@ -243,8 +255,8 @@ def train_refine(volumes_2k, tcfg: TrainConfig, stats: MuStats,
         if v.shape[0] != 2 * k:
             raise AutodiffError(f"refinement data must have {2 * k} frames")
 
-    def loss_fn(z, coords_t):
-        z_hat = ad.concat(_recon_windows(z, coords_t, params, rcfg))
+    def loss_fn(z, coords_t, net):
+        z_hat = ad.concat(_recon_windows(z, coords_t, net, rcfg))
         return loss_refine(z_hat, z, stats, tcfg.lambda_ref, mode=tcfg.mu_mode)
 
     lr_net = None if tcfg.freeze_theta_refine else tcfg.lr_net_refine
@@ -272,8 +284,8 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     t_total = z_long.shape[0]
     if trajectory.n_frames != k:
         raise AutodiffError("trajectory frame count must equal k")
-    # keep only each window's array, so one window's graph is alive at a time
-    windows = _recon_windows(z_long, Tensor(trajectory.coords), params, rcfg)
+    windows = _recon_windows(z_long, Tensor(trajectory.coords), _constants(params),
+                             rcfg)
     recon = np.concatenate([w.data for w in windows], axis=0)[:t_total]
     mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))

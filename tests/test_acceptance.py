@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from dyncs import autodiff as ad
 from dyncs import pipeline as pl
 from dyncs.autodiff import Tensor
 from dyncs.cli import main as cli_main
@@ -22,6 +21,8 @@ from dyncs.recon import (ReconConfig, export_attention, init_recon_params,
                          recon_forward, wmsa_forward)
 from dyncs.trajectory import (PhysicsConfig, Trajectory, feasibility_report,
                               init_radial, kinematic_bounds, project_kinematic)
+
+from gradcheck import grad_check
 
 GRID = 32
 K = 4
@@ -171,7 +172,7 @@ def test_02_end_to_end_differentiability(capsys):
     probe = Tensor(coords0.copy(), requires_grad=True)
     loss_of_coords(probe).backward()
     nonvanishing = float(np.abs(probe.grad).max()) > 0.0
-    coord_err = ad.grad_check(loss_of_coords, Tensor(coords0), h=1e-5)
+    coord_err = grad_check(loss_of_coords, Tensor(coords0), h=1e-5)
 
     frozen = Tensor(coords0)
     param_errs = []
@@ -187,7 +188,7 @@ def test_02_end_to_end_differentiability(capsys):
             finally:
                 params[name] = original
 
-        param_errs.append(ad.grad_check(
+        param_errs.append(grad_check(
             loss_of_param, Tensor(original.data.copy()), h=1e-5))
 
     elapsed = time.monotonic() - t0

@@ -95,6 +95,17 @@ def test_fsim_flat_versus_flat_is_one():
     assert mean == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("metric", [fsim, vif_p])
+def test_per_frame_values_match_single_frame_calls(metric, phantom):
+    ref = phantom.copy()
+    ref[:, 0, 0] = ref.max()  # every frame has the stack's peak
+    x = np.stack([ndimage.gaussian_filter(f, 1.0) for f in ref])
+    x[1] = ref[1]  # an identical frame among distorted ones
+    _, per_frame = metric(x, ref)
+    singles = [metric(x[t:t + 1], ref[t:t + 1])[1][0] for t in range(len(ref))]
+    assert np.array_equal(per_frame, singles)
+
+
 def test_metric_report_shape(phantom):
     rng = np.random.default_rng(4)
     noisy = np.clip(phantom + rng.normal(0, 0.05, phantom.shape), 0, 1)

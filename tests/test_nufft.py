@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncs import autodiff as ad
 from dyncs import nufft
 from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.nufft import (acquire, cartesian_grid_coords, nudft_adjoint,
                          nudft_forward)
+
+from gradcheck import grad_check
 
 
 def _forward_oracle(z, coords):
@@ -160,15 +161,16 @@ def test_out_of_range_coordinate_rejected():
 
 def test_acquire_coord_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    for t_frames, h, w in SHAPES:
-        z = rng.normal(size=(t_frames, h, w))
+    # the last case is a batch of two images on the same coordinates
+    for batch, (t_frames, h, w) in zip(((), (), (2,)), SHAPES + SHAPES[-1:]):
+        z = rng.normal(size=batch + (t_frames, h, w))
         coords0 = _random_coords(rng, (t_frames, 2, 3)) * 0.9
-        seed = rng.normal(size=(2, t_frames, h, w))
+        seed = rng.normal(size=batch + (2, t_frames, h, w))
 
         def f(c):
             return (acquire(z, c) * seed).sum()
 
-        assert ad.grad_check(f, Tensor(coords0)) < 1e-5
+        assert grad_check(f, Tensor(coords0)) < 1e-5
 
 
 def _acquire_terms(z, coords0, seed):
@@ -232,6 +234,24 @@ def test_adjoint_coord_gradients_match_finite_differences():
         assert _max_rel_err(analytic, _central_differences(f, coords0)) < 1e-5
 
 
+def test_acquire_batch_equals_single_calls():
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(3, 2, 5, 4))
+    coords = _random_coords(rng, (2, 2, 3))
+    seed = rng.normal(size=(3, 2, 2, 5, 4))
+    learnable = Tensor(coords, requires_grad=True)
+    batched = acquire(z, learnable)
+    singles = [acquire(zb, Tensor(coords)).data for zb in z]
+    assert np.array_equal(batched.data, np.stack(singles))
+    batched.backward(seed)
+    summed = np.zeros_like(coords)
+    for zb, gb in zip(z, seed):
+        single = Tensor(coords, requires_grad=True)
+        acquire(zb, single).backward(gb)
+        summed += single.grad
+    assert np.max(np.abs(learnable.grad - summed)) <= 1e-12 * np.max(np.abs(summed))
+
+
 def test_zero_upstream_gives_zero_gradient():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(1, 4, 4))
@@ -252,11 +272,12 @@ def test_acquire_builds_phase_tables_once_per_pass(monkeypatch):
     monkeypatch.setattr(nufft, "_phase_tables",
                         lambda *args: calls.append(args) or build(*args))
     rng = np.random.default_rng(13)
-    z = rng.normal(size=(2, 5, 4))
     coords = _random_coords(rng, (2, 2, 3))
-    acquire(z, Tensor(coords))
-    assert len(calls) == 1
-    calls.clear()
-    learnable = Tensor(coords, requires_grad=True)
-    acquire(z, learnable).sum().backward()
-    assert len(calls) == 2  # one for the forward, one for the backward
+    for z in (rng.normal(size=(2, 5, 4)), rng.normal(size=(3, 2, 5, 4))):
+        calls.clear()
+        acquire(z, Tensor(coords))
+        assert len(calls) == 1
+        calls.clear()
+        learnable = Tensor(coords, requires_grad=True)
+        acquire(z, learnable).sum().backward()
+        assert len(calls) == 2  # one for the forward, one for the backward

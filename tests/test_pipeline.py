@@ -4,12 +4,15 @@ both training stages and stacked evaluation."""
 import numpy as np
 import pytest
 
+from dyncs import nufft
 from dyncs import pipeline as pl
 from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.data import PhantomSpec, gen_phantom
 from dyncs.nufft import (cartesian_grid_coords, nudft_adjoint, nudft_forward)
 from dyncs.recon import ReconConfig, init_recon_params, recon_forward
 from dyncs.trajectory import PhysicsConfig, Trajectory, init_radial
+
+from gradcheck import grad_check
 
 
 def _small_rcfg():
@@ -165,7 +168,6 @@ def test_loss_refine_never_below_loss_main():
 
 def test_mu_gradients_flow_through_hinge():
     rng = np.random.default_rng(9)
-    from dyncs import autodiff as ad
     z = np.zeros((3, 2, 2))
     stats = pl.MuStats(mu_x=0.0)
     x0 = rng.random((3, 2, 2)) + 0.5
@@ -173,7 +175,7 @@ def test_mu_gradients_flow_through_hinge():
     def f(t):
         return pl.loss_refine(t, z, stats, 2.0)
 
-    assert ad.grad_check(f, Tensor(x0)) < 1e-5
+    assert grad_check(f, Tensor(x0)) < 1e-5
 
 
 # -- training ---------------------------------------------------------------------
@@ -282,6 +284,7 @@ def test_refine_frozen_network_moves_only_the_trajectory():
                              params, traj)
     for name in params:
         assert np.array_equal(result.params[name].data, before[name]), name
+        assert result.params[name].grad is None, name
     start = project_kinematic(Trajectory(traj.coords), kinematic_bounds(_pcfg(12)),
                               tol=1e-8).coords
     assert np.abs(result.trajectory.coords - start).max() > 1e-6
@@ -335,10 +338,16 @@ def test_stacked_eval_equals_plain_inference_at_t_equals_k(trained_small):
     assert np.array_equal(res.reconstruction, plain.data)
 
 
-def test_stacked_eval_padded_tail_arithmetic(trained_small):
+def test_stacked_eval_padded_tail_arithmetic(trained_small, monkeypatch):
     result, rcfg = trained_small
     z = gen_phantom(PhantomSpec(grid=(24, 24), frames=11, seed=10))
+    builds = []
+    build = nufft._phase_tables
+    monkeypatch.setattr(nufft, "_phase_tables",
+                        lambda *args: builds.append(args) or build(*args))
     res = pl.evaluate_stacked(result.trajectory, result.params, rcfg, z, k=4)
+    monkeypatch.undo()
+    assert len(builds) == 1  # all three windows share one acquisition
     assert res.reconstruction.shape == (11, 24, 24)
     assert len(res.mu) == 10
     # the cropped tail must equal reconstructing the zero-padded window
@@ -366,7 +375,6 @@ def test_stacked_eval_reports_metrics(trained_small):
 # -- end-to-end gradients -------------------------------------------------------------
 
 def test_end_to_end_coordinate_gradients_match_finite_differences():
-    from dyncs import autodiff as ad
     rng = np.random.default_rng(13)
     z = gen_phantom(PhantomSpec(grid=(8, 8), frames=2, seed=1))
     rcfg = ReconConfig(channels=4, n_blocks=1, heads=2, window=(2, 2, 2))
@@ -385,4 +393,4 @@ def test_end_to_end_coordinate_gradients_match_finite_differences():
     probe = Tensor(coords0.copy(), requires_grad=True)
     f(probe).backward()
     assert np.abs(probe.grad).max() > 0.0
-    assert ad.grad_check(f, Tensor(coords0), h=1e-5) < 1e-4
+    assert grad_check(f, Tensor(coords0), h=1e-5) < 1e-4

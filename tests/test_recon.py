@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from dyncs import autodiff as ad
 from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.recon import (AttentionRecord, ReconConfig, export_attention,
                          init_recon_params, load_checkpoint, recon_forward,
                          save_checkpoint, window_partition, window_unpartition,
                          wmsa_forward)
+
+from gradcheck import grad_check
 
 
 def _small_cfg(**kw):
@@ -181,7 +182,7 @@ def test_parameter_gradients_match_finite_differences():
         diff = out - Tensor(target)
         return (diff * diff).mean()
 
-    assert ad.grad_check(f, Tensor(params[name].data.copy()), h=1e-5) < 1e-4
+    assert grad_check(f, Tensor(params[name].data.copy()), h=1e-5) < 1e-4
 
 
 def test_rejects_wrong_channel_count():
