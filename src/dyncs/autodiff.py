@@ -2,10 +2,10 @@
 
 The op set is deliberately small and closed: elementwise arithmetic,
 matmul (with batch broadcasting), reshape/transpose/slicing/concat/pad,
-reductions, abs/relu, softmax, layer_norm and conv3d. Custom nodes (the
-acquisition node `nufft.acquire`) attach their own backward closures via
-``Tensor.from_op``. Everything is float64; NaN or Inf entering any op is
-an error.
+reductions, abs/relu and conv3d. Custom nodes (the acquisition node
+`nufft.acquire`, the transformer block `recon.transformer_block`) attach
+their own backward closures via ``Tensor.from_op``. Everything is float64;
+NaN or Inf entering any op is an error.
 """
 
 from __future__ import annotations
@@ -228,39 +228,6 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor.from_op(data, tuple(tensors), back)
-
-
-def softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - inner),)
-
-    return Tensor.from_op(s, (x,), back)
-
-
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last dimension, then apply the affine map."""
-    if gamma.data.shape != (x.data.shape[-1],) or beta.data.shape != (x.data.shape[-1],):
-        raise AutodiffError("layer_norm affine parameters must match the last dim")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    data = xhat * gamma.data + beta.data
-
-    def back(g):
-        gh = g * gamma.data
-        n = x.data.shape[-1]
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        axes = tuple(range(g.ndim - 1))
-        return (gx, (g * xhat).sum(axis=axes), g.sum(axis=axes))
-
-    return Tensor.from_op(data, (x, gamma, beta), back)
 
 
 def _columns(x, k):

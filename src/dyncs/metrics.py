@@ -2,12 +2,12 @@
 transition-artifact report for stacked reconstructions.
 
 VIF and FSIM are computed per frame and averaged; all frames of a [T,H,W]
-stack go through each filter, transform and sum together, and every frame's
-value is the one it would get alone under the same peak. `psnr` (and so
-`metric_report["psnr"]`) is the PSNR of the whole volume, one MSE over every
-voxel, and `psnr_per_frame` gives it per frame. Inputs are magnitude images;
-VIF and FSIM rescale them to a reference peak of 255, where their published
-constants live.
+stack go through each filter, transform and sum together (FSIM's filter bank
+in chunks of frames), and every frame's value is the one it would get alone
+under the same peak. `psnr` (and so `metric_report["psnr"]`) is the PSNR of
+the whole volume, one MSE over every voxel, and `psnr_per_frame` gives it per
+frame. Inputs are magnitude images; VIF and FSIM rescale them to a reference
+peak of 255, where their published constants live.
 """
 
 from __future__ import annotations
@@ -140,31 +140,40 @@ def _log_gabor_bank(h, w, scales=4, orientations=4, wavelength=6.0,
     return bank
 
 
+# frames per filter-bank pass: numpy's batched ifft2 is fastest when its
+# complex output [frames, scales, H, W] stays within a few hundred kB
+_CHUNK_BYTES = 2 ** 19
+
+
 def _phase_congruency(img, bank, k=2.0, rescale=1.7):
     """Kovesi-style phase congruency of each frame of img [T,H,W], with
     noise-threshold compensation; `bank` holds (filters [scales,H,W], E[m0^2],
-    sum_ij <m_i, m_j>) per orientation."""
-    fimg = np.fft.fft2(img)[:, None]
+    sum_ij <m_i, m_j>) per orientation. Runs over chunks of frames, each frame
+    independent of the others."""
+    step = max(1, _CHUNK_BYTES // (16 * bank[0][0].size))
     pc = np.zeros(img.shape)
-    for orient_filters, expect_m2, expect_mimj in bank:
-        eo = np.fft.ifft2(fimg * orient_filters)  # [T, scales, H, W]
-        amps = np.abs(eo)
-        sum_e = eo.sum(axis=1)
-        sum_a = amps.sum(axis=1)
+    for lo in range(0, len(img), step):
+        frames = img[lo:lo + step]
+        fimg = np.fft.fft2(frames)[:, None]
+        for orient_filters, expect_m2, expect_mimj in bank:
+            eo = np.fft.ifft2(fimg * orient_filters)  # [frames, scales, H, W]
+            amps = np.abs(eo)
+            sum_e = eo.sum(axis=1)
+            sum_a = amps.sum(axis=1)
 
-        # noise threshold estimated from each frame's smallest-scale response
-        a2_median = np.median((amps[:, 0] ** 2).reshape(len(img), -1), axis=-1)
-        expect_a2 = a2_median / np.log(2.0)
-        sigma_g = np.sqrt(np.maximum(expect_a2 * expect_mimj / max(expect_m2, 1e-300), 0.0))
-        mu_r = sigma_g * np.sqrt(np.pi / 2.0)
-        sigma_r = sigma_g * np.sqrt(2.0 - np.pi / 2.0)
-        threshold = (mu_r + k * sigma_r) / rescale
+            # noise threshold estimated from each frame's smallest-scale response
+            a2_median = np.median((amps[:, 0] ** 2).reshape(len(frames), -1), axis=-1)
+            expect_a2 = a2_median / np.log(2.0)
+            sigma_g = np.sqrt(np.maximum(expect_a2 * expect_mimj / max(expect_m2, 1e-300), 0.0))
+            mu_r = sigma_g * np.sqrt(np.pi / 2.0)
+            sigma_r = sigma_g * np.sqrt(2.0 - np.pi / 2.0)
+            threshold = (mu_r + k * sigma_r) / rescale
 
-        fh = (sum_e / (np.abs(sum_e) + EPS))[:, None]
-        dot = (eo.real * fh.real + eo.imag * fh.imag).sum(axis=1)
-        cross = np.abs(eo.real * fh.imag - eo.imag * fh.real).sum(axis=1)
-        energy = np.maximum(dot - cross - threshold[:, None, None], 0.0)
-        pc += energy / (sum_a + EPS)
+            fh = (sum_e / (np.abs(sum_e) + EPS))[:, None]
+            dot = (eo.real * fh.real + eo.imag * fh.imag).sum(axis=1)
+            cross = np.abs(eo.real * fh.imag - eo.imag * fh.real).sum(axis=1)
+            energy = np.maximum(dot - cross - threshold[:, None, None], 0.0)
+            pc[lo:lo + step] += energy / (sum_a + EPS)
     return pc
 
 

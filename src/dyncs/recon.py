@@ -5,6 +5,13 @@ Input is the 2-channel (real, imag) regridded volume [2,T,H,W]; output is a
 single real channel [T,H,W]. Window attention mixes tokens only inside
 non-overlapping (wt, wh, ww) windows; the convolutions provide cross-window
 communication. No window shifting and no relative position bias.
+
+Each transformer block (LN1 -> window MHSA -> residual -> LN2 -> MLP ->
+residual on the window tokens) is one graph node, `transformer_block`, whose
+numpy forward and hand-written backward are `_block_forward` and
+`_block_backward`. The node keeps only its input and parameters; the backward
+recomputes the activations, which trades one extra block forward per sample
+for a graph that holds no attention or MLP activations.
 """
 
 from __future__ import annotations
@@ -78,33 +85,140 @@ def window_unpartition(tokens: Tensor, window, shape) -> Tensor:
     return y.reshape(c, t, h, w)
 
 
+def _softmax(x):
+    """Softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _layer_norm(x, gamma, beta, eps=1e-5):
+    """Normalize over the last axis, then apply the affine map; returns
+    (out, xhat, 1/std), the last two for `_layer_norm_backward`."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_backward(g, gamma, xhat, inv):
+    """Gradients (x, gamma, beta) of `_layer_norm` for upstream g."""
+    gh = g * gamma
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    axes = tuple(range(g.ndim - 1))
+    return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+def _flat(a):
+    """[..., C] -> [tokens, C]."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _attention(x, wqkv, bqkv, wo, bo, heads):
+    """Multi-head self-attention within each window of x [n_windows, N, C].
+
+    Returns (out, (q, k, v, weights, heads_out)); `weights` is the softmax
+    [n_windows, heads, N, N] and `heads_out` the attention output [n_windows,
+    N, C] before the output projection.
+    """
+    nw, n, c = x.shape
+    d = c // heads
+    qkv = x @ wqkv + bqkv  # [nw,N,3C]
+    q, k, v = (qkv[:, :, i * c:(i + 1) * c].reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
+               for i in range(3))  # [nw,h,N,d]
+    weights = _softmax((q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d)))
+    heads_out = (weights @ v).transpose(0, 2, 1, 3).reshape(nw, n, c)
+    return heads_out @ wo + bo, (q, k, v, weights, heads_out)
+
+
+def _attention_backward(g, x, wqkv, wo, acts, heads):
+    """Gradients (x, wqkv, bqkv, wo, bo) of `_attention` for upstream g,
+    from the activations `acts` of its forward."""
+    q, k, v, weights, heads_out = acts
+    nw, n, c = x.shape
+    d = c // heads
+    gwo, gbo = _flat(heads_out).T @ _flat(g), g.sum(axis=(0, 1))
+    gh = (g @ wo.T).reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
+    gw = gh @ v.transpose(0, 1, 3, 2)
+    gv = weights.transpose(0, 1, 3, 2) @ gh
+    glogits = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(d))
+    gq = glogits @ k
+    gk = glogits.transpose(0, 1, 3, 2) @ q
+    gqkv = np.concatenate([t.transpose(0, 2, 1, 3).reshape(nw, n, c) for t in (gq, gk, gv)],
+                          axis=-1)
+    return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), gqkv.sum(axis=(0, 1)), gwo, gbo)
+
+
+# the parameters of one transformer block, in the order of `_block_forward`'s P
+BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo",
+                "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
+def _block_forward(x, P, heads):
+    """One transformer block on window tokens x [n_windows, N, C]:
+    LN1 -> window MHSA -> residual -> LN2 -> MLP -> residual.
+
+    P holds the BLOCK_PARAMS arrays in order. Returns (out, acts), where
+    `acts` are the activations `_block_backward` needs; acts[2][3] are the
+    softmax weights.
+    """
+    g1, b1, wqkv, bqkv, wo, bo, g2, b2, w1, c1, w2, c2 = P
+    n1, xhat1, inv1 = _layer_norm(x, g1, b1)
+    att, att_acts = _attention(n1, wqkv, bqkv, wo, bo, heads)
+    y1 = x + att
+    n2, xhat2, inv2 = _layer_norm(y1, g2, b2)
+    hid = n2 @ w1 + c1
+    hid = hid * (hid > 0)
+    return y1 + (hid @ w2 + c2), ((xhat1, inv1), n1, att_acts, (xhat2, inv2), n2, hid)
+
+
+def _block_backward(g, x, P, heads):
+    """Gradients of `_block_forward` for upstream g: the input's, then each
+    of P's. Recomputes the forward's activations from x and P."""
+    g1, _, wqkv, _, wo, _, g2, _, w1, _, w2, _ = P
+    _, (ln1, n1, att_acts, ln2, n2, hid) = _block_forward(x, P, heads)
+    # MLP and LN2; the residual adds g
+    gw2, gc2 = _flat(hid).T @ _flat(g), g.sum(axis=(0, 1))
+    ghid = (g @ w2.T) * (hid > 0)
+    gw1, gc1 = _flat(n2).T @ _flat(ghid), ghid.sum(axis=(0, 1))
+    gy1, gg2, gb2 = _layer_norm_backward(ghid @ w1.T, g2, *ln2)
+    gy1 += g
+    # attention and LN1; the residual adds gy1
+    gn1, gwqkv, gbqkv, gwo, gbo = _attention_backward(gy1, n1, wqkv, wo, att_acts, heads)
+    gx, gg1, gb1 = _layer_norm_backward(gn1, g1, *ln1)
+    gx += gy1
+    return gx, gg1, gb1, gwqkv, gbqkv, gwo, gbo, gg2, gb2, gw1, gc1, gw2, gc2
+
+
+def transformer_block(tokens: Tensor, params: dict, prefix: str, heads: int,
+                      record: bool = False):
+    """The block `_block_forward` as one graph node over the tokens and the
+    12 `{prefix}.*` parameters. The node keeps only its inputs and recomputes
+    the activations in its backward.
+
+    Returns (output [n_windows, N, C], softmax weights if `record` else None).
+    """
+    parents = (tokens,) + tuple(params[f"{prefix}.{name}"] for name in BLOCK_PARAMS)
+    x, P = tokens.data, tuple(p.data for p in parents[1:])
+    out, acts = _block_forward(x, P, heads)
+    weights = acts[2][3] if record else None
+    return Tensor.from_op(out, parents, lambda g: _block_backward(g, x, P, heads)), weights
+
+
 def wmsa_forward(tokens: Tensor, params: dict, heads: int, prefix: str,
                  record: bool = False):
-    """Multi-head self-attention within each window.
+    """Multi-head self-attention within each window, as constant values
+    (training differentiates it inside `transformer_block`).
 
-    tokens: [n_windows, N, C]. Returns (output [n_windows, N, C], record).
+    tokens: [n_windows, N, C]. Returns (output [n_windows, N, C], softmax
+    weights [n_windows, heads, N, N] if `record` else None).
     """
-    nw, n, c = tokens.shape
-    if c % heads:
+    if tokens.shape[-1] % heads:
         raise AutodiffError("channel dim not divisible by heads")
-    d = c // heads
-
-    qkv = tokens @ params[f"{prefix}.wqkv"] + params[f"{prefix}.bqkv"]  # [nw,N,3C]
-
-    def split_heads(t):
-        return t.reshape(nw, n, heads, d).transpose((0, 2, 1, 3))  # [nw,h,N,d]
-
-    q = split_heads(qkv[:, :, 0:c])
-    k = split_heads(qkv[:, :, c:2 * c])
-    v = split_heads(qkv[:, :, 2 * c:3 * c])
-
-    logits = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d))
-    attn = ad.softmax(logits, axis=-1)  # [nw,h,N,N]
-    out = attn @ v
-    out = out.transpose((0, 2, 1, 3)).reshape(nw, n, c)
-    out = out @ params[f"{prefix}.wo"] + params[f"{prefix}.bo"]
-    weights = attn.data.copy() if record else None
-    return out, weights
+    out, acts = _attention(tokens.data, *(params[f"{prefix}.{name}"].data
+                                          for name in ("wqkv", "bqkv", "wo", "bo")), heads)
+    return Tensor(out), (acts[3] if record else None)
 
 
 def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
@@ -168,7 +282,12 @@ def _crop(x: Tensor, pads, shape):
 
 def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
                   record_attention: bool = False):
-    """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records)."""
+    """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records).
+
+    Per block: pad to the window grid, `transformer_block` on the window
+    tokens, unpad, then a residual 3x3x3 convolution. With `record_attention`
+    each block's softmax weights come from that same forward pass.
+    """
     if z_regrid.shape[0] != 2:
         raise AutodiffError("expected a 2-channel (real, imag) input")
     records = []
@@ -177,24 +296,17 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
     for i in range(cfg.n_blocks):
         p = f"block{i}"
         shape = x.shape
-        # windowed attention with residual
+        # the pad tokens pass through the block too (also as attention keys);
+        # the crop below removes them
         xp, pads = _pad_to_window(x, cfg.window)
-        win = window_partition(xp, cfg.window)
-        normed = ad.layer_norm(win, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        att, weights = wmsa_forward(normed, params, cfg.heads, f"{p}.attn",
-                                    record=record_attention)
+        win, weights = transformer_block(window_partition(xp, cfg.window), params, p,
+                                         cfg.heads, record=record_attention)
         if record_attention:
             _, t, h, w = xp.shape
             wt, wh, ww = cfg.window
             records.append(AttentionRecord(
                 weights=weights, window=cfg.window,
                 grid=(t // wt, h // wh, w // ww), block_index=i))
-        win = win + att
-        # tokenwise MLP with residual, on the same window tokens; the pad
-        # tokens it also transforms are cropped away below
-        hmid = ad.layer_norm(win, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        hmid = (hmid @ params[f"{p}.mlp.w1"] + params[f"{p}.mlp.b1"]).relu()
-        win = win + (hmid @ params[f"{p}.mlp.w2"] + params[f"{p}.mlp.b2"])
         x = _crop(window_unpartition(win, cfg.window, xp.shape), pads, shape)
         # convolution with residual
         x = x + ad.conv3d(x, params[f"{p}.conv.w"]) + params[f"{p}.conv.b"]

@@ -7,6 +7,8 @@ import pytest
 
 from dyncs import autodiff as ad
 from dyncs.autodiff import AdamState, AutodiffError, Tensor, adam_step
+from dyncs.recon import (ReconConfig, _layer_norm, _softmax, init_recon_params,
+                         transformer_block)
 
 from gradcheck import grad_check
 
@@ -54,7 +56,7 @@ def test_grad_check_rejects_bad_step():
 @pytest.mark.parametrize("name,f,shape", [
     ("mul", lambda t: (t * t * 0.5).sum(), (3, 4)),
     ("matmul", lambda t: (t @ t.transpose((1, 0))).sum(), (3, 4)),
-    ("softmax", lambda t: (ad.softmax(t, axis=-1) * np.arange(4.0)).sum(), (3, 4)),
+    ("sub", lambda t: (1.0 - t * t - (-t)).sum(), (3, 4)),
     ("getitem", lambda t: (t[1:, :2] * 3.0).sum(), (3, 4)),
     ("pad", lambda t: (t.pad(((1, 1), (0, 2))) * 2.0).sum(), (3, 4)),
     ("abs", lambda t: t.abs().sum(), (3, 4)),
@@ -73,15 +75,6 @@ def test_getitem_rejects_advanced_indices(idx):
     x = Tensor(np.ones((3, 4)), requires_grad=True)
     with pytest.raises(AutodiffError, match="basic indices"):
         x[idx]
-
-
-def test_layer_norm_gradients_match_finite_differences():
-    rng = np.random.default_rng(7)
-    g = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    x = Tensor(rng.normal(size=(3, 4)))
-    seed = rng.normal(size=(3, 4))
-    assert grad_check(lambda t: (ad.layer_norm(t, g, b) * seed).sum(), x) < 1e-5
 
 
 def test_concat_gradients_split_correctly():
@@ -125,18 +118,18 @@ def test_seed_shape_mismatch_rejected():
         (x * 2.0).backward(seed=np.ones(4))
 
 
-# -- softmax / layer_norm values ----------------------------------------------
+# -- softmax / layer_norm values (the numpy helpers of recon's block node) -----
 
 def test_softmax_constant_row_uniform():
-    out = ad.softmax(Tensor(np.full((2, 5), 3.0)), axis=-1)
-    np.testing.assert_allclose(out.data, 1.0 / 5.0)
+    out = _softmax(np.full((2, 5), 3.0))
+    np.testing.assert_allclose(out, 1.0 / 5.0)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 6))
-    a = ad.softmax(Tensor(x), axis=-1).data
-    b = ad.softmax(Tensor(x + 17.5), axis=-1).data
+    a = _softmax(x)
+    b = _softmax(x + 17.5)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -145,22 +138,21 @@ def test_softmax_matches_direct_formula():
     x = rng.normal(size=(8,))
     expected = np.exp(x - x.max())
     expected /= expected.sum()
-    np.testing.assert_allclose(ad.softmax(Tensor(x[None]), axis=-1).data[0],
-                               expected, atol=1e-12)
+    np.testing.assert_allclose(_softmax(x[None])[0], expected, atol=1e-12)
 
 
 def test_layer_norm_identity_on_normalized_row():
     x = np.array([[-1.0, 1.0, -1.0, 1.0]])
-    g = Tensor(np.ones(4))
-    b = Tensor(np.zeros(4))
-    out = ad.layer_norm(Tensor(x), g, b).data
+    g = np.ones(4)
+    b = np.zeros(4)
+    out = _layer_norm(x, g, b)[0]
     np.testing.assert_allclose(out, x, atol=1e-4)
 
 
 def test_layer_norm_constant_row_returns_beta():
     x = np.full((2, 4), 7.0)
     beta = np.array([1.0, 2.0, 3.0, 4.0])
-    out = ad.layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(beta)).data
+    out = _layer_norm(x, np.ones(4), beta)[0]
     np.testing.assert_allclose(out, np.broadcast_to(beta, (2, 4)), atol=1e-9)
 
 
@@ -172,7 +164,7 @@ def test_layer_norm_matches_direct_formula():
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     expected = (x - mu) / np.sqrt(var + 1e-5) * g + b
-    out = ad.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data
+    out = _layer_norm(x, g, b)[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -300,14 +292,18 @@ def test_adam_shape_mismatch_rejected():
 
 def test_determinism_repeated_forward_backward():
     rng = np.random.default_rng(11)
-    base = rng.normal(size=(4, 4))
+    base = rng.normal(size=(3, 8, 4))
 
     def run():
+        # a transformer block node: layer norms, a softmax, matmuls and a relu
+        params = init_recon_params(ReconConfig(channels=4, n_blocks=1, heads=2),
+                                   np.random.default_rng(12))
         x = Tensor(base.copy(), requires_grad=True)
-        out = ad.softmax(x @ x, axis=-1).sum()
+        y, _ = transformer_block(x @ x.transpose((0, 2, 1)) @ x, params, "block0", heads=2)
+        out = (y * y).sum()
         out.backward()
-        return out.data.copy(), x.grad.copy()
+        return out.data.copy(), (x.grad.copy(), params["block0.attn.wqkv"].grad.copy())
 
     o1, g1 = run()
     o2, g2 = run()
-    assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
+    assert np.array_equal(o1, o2) and all(np.array_equal(a, b) for a, b in zip(g1, g2))

@@ -106,6 +106,17 @@ def test_per_frame_values_match_single_frame_calls(metric, phantom):
     assert np.array_equal(per_frame, singles)
 
 
+def test_fsim_per_frame_values_match_across_frame_chunks():
+    # at 64x64 the filter bank runs over chunks of two frames, so this stack
+    # is one chunk of two and one of a single frame
+    ref = gen_phantom(PhantomSpec(grid=(64, 64), frames=3, seed=1))
+    x = np.stack([ndimage.gaussian_filter(f, 1.0) for f in ref])
+    ref[:, 0, 0] = x[:, 0, 0] = ref.max()
+    _, per_frame = fsim(x, ref)
+    singles = [fsim(x[t:t + 1], ref[t:t + 1])[1][0] for t in range(len(ref))]
+    assert np.array_equal(per_frame, singles)
+
+
 def test_metric_report_shape(phantom):
     rng = np.random.default_rng(4)
     noisy = np.clip(phantom + rng.normal(0, 0.05, phantom.shape), 0, 1)

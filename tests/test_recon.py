@@ -1,13 +1,16 @@
 """Tests for window partitioning, window attention and the reconstruction net."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dyncs import autodiff as ad
 from dyncs.autodiff import AutodiffError, Tensor
-from dyncs.recon import (AttentionRecord, ReconConfig, export_attention,
+from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, export_attention,
                          init_recon_params, load_checkpoint, recon_forward,
-                         save_checkpoint, window_partition, window_unpartition,
-                         wmsa_forward)
+                         save_checkpoint, transformer_block, window_partition,
+                         window_unpartition, wmsa_forward)
 
 from gradcheck import grad_check
 
@@ -165,24 +168,108 @@ def test_non_divisible_input_padded_and_cropped():
 
 def test_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    cfg = _small_cfg()
+    cfg = _small_cfg(window=(2, 4, 4))
     params = init_recon_params(cfg, rng)
     # the output layer initializes to zero, which would zero out every
-    # upstream gradient; give it weight so the check is not vacuous
+    # upstream gradient; give it weight so the check is not vacuous, and move
+    # the block's unit gains and zero biases off their special values
     params["conv_out.w"].data[:] = 0.1 * rng.normal(
         size=params["conv_out.w"].shape)
-    x = Tensor(rng.normal(size=(2, 2, 4, 4)))
-    target = rng.normal(size=(2, 4, 4))
-    name = "block0.attn.wqkv"
+    for name in BLOCK_PARAMS:
+        params[f"block0.{name}"].data += 0.1 * rng.normal(size=params[f"block0.{name}"].shape)
+    # 3x10x14 pads to 4x12x16, so pad tokens pass through the block node
+    x = Tensor(rng.normal(size=(2, 3, 10, 14)))
+    target = Tensor(rng.normal(size=(3, 10, 14)))
 
-    def f(slice_t):
-        trial = dict(params)
-        trial[name] = slice_t
-        out, _ = recon_forward(x, cfg, trial)
-        diff = out - Tensor(target)
+    def loss(trial, inp):
+        out, _ = recon_forward(inp, cfg, trial)
+        diff = out - target
         return (diff * diff).mean()
 
-    assert grad_check(f, Tensor(params[name].data.copy()), h=1e-5) < 1e-4
+    c = cfg.channels
+    for name in BLOCK_PARAMS:
+        name = f"block0.{name}"
+        value = params[name].data.copy()
+        if name.endswith("bqkv"):
+            # the key bias shifts each softmax row by a constant, so its
+            # gradient is zero up to rounding; probe the query and value biases
+            key_bias = Tensor(value[c:2 * c])
+            err = grad_check(lambda t: loss({**params, name: ad.concat(
+                [t[:c], key_bias, t[c:]])}, x), Tensor(np.delete(value, np.s_[c:2 * c])))
+        else:
+            err = grad_check(lambda t: loss({**params, name: t}, x), Tensor(value))
+        assert err < 1e-4, name
+    # the block input: every path from the network input passes through it
+    assert grad_check(lambda t: loss(params, t), x) < 1e-4
+
+
+def _block_reference(x, p, heads):
+    """The transformer block composed in plain numpy, one head at a time."""
+    def layer_norm(a, g, b):
+        mu = a.mean(axis=-1, keepdims=True)
+        sd = np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-5)
+        return (a - mu) / sd * g + b
+
+    c = x.shape[-1]
+    d = c // heads
+    qkv = layer_norm(x, p["ln1.g"], p["ln1.b"]) @ p["attn.wqkv"] + p["attn.bqkv"]
+    heads_out = np.zeros_like(x)
+    for h in range(heads):
+        q, k, v = (qkv[..., j * c + h * d:j * c + (h + 1) * d] for j in range(3))
+        logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(d)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        heads_out[..., h * d:(h + 1) * d] = e / e.sum(axis=-1, keepdims=True) @ v
+    y = x + heads_out @ p["attn.wo"] + p["attn.bo"]
+    hidden = np.maximum(layer_norm(y, p["ln2.g"], p["ln2.b"]) @ p["mlp.w1"] + p["mlp.b1"], 0.0)
+    return y + hidden @ p["mlp.w2"] + p["mlp.b2"]
+
+
+def test_transformer_block_matches_composed_reference():
+    rng = np.random.default_rng(17)
+    cfg = _small_cfg(channels=8, heads=4, mlp_ratio=1.5)
+    params = init_recon_params(cfg, rng)
+    for name in BLOCK_PARAMS:
+        params[f"block0.{name}"].data += 0.1 * rng.normal(size=params[f"block0.{name}"].shape)
+    tokens = rng.normal(size=(5, 16, 8))
+    out, weights = transformer_block(Tensor(tokens), params, "block0", heads=4, record=True)
+    expected = _block_reference(tokens, {n: params[f"block0.{n}"].data for n in BLOCK_PARAMS}, 4)
+    assert np.max(np.abs(out.data - expected)) < 1e-14 * np.max(np.abs(expected))
+    assert weights.shape == (5, 4, 16, 16)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_recording_attention_leaves_output_unchanged():
+    rng = np.random.default_rng(18)
+    cfg = _small_cfg(n_blocks=2)
+    params = init_recon_params(cfg, rng)
+    params["conv_out.w"].data[:] = rng.normal(size=params["conv_out.w"].shape)
+    x = Tensor(rng.normal(size=(2, 3, 5, 7)))
+    plain, none = recon_forward(x, cfg, params)
+    recorded, records = recon_forward(x, cfg, params, record_attention=True)
+    assert none == [] and len(records) == 2
+    assert np.array_equal(plain.data, recorded.data)
+
+
+def test_recon_graph_keeps_no_block_activations():
+    rng = np.random.default_rng(19)
+    cfg = ReconConfig()  # the CLI default, c16/b2
+    params = init_recon_params(cfg, rng)
+    x = Tensor(rng.normal(size=(2, 4, 32, 32)))
+    target = Tensor(rng.normal(size=(4, 32, 32)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out, _ = recon_forward(x, cfg, params)
+        diff = out - target
+        loss = (diff * diff).mean()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # ~7 MB of tokens, convolution outputs and block inputs; a graph that
+    # keeps every attention and MLP activation holds ~55 MB
+    assert held < 20e6
+    loss.backward()
+    assert all(p.grad is not None for p in params.values())
 
 
 def test_rejects_wrong_channel_count():
