@@ -1,11 +1,10 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is deliberately small and closed: elementwise arithmetic,
-matmul (with batch broadcasting), reshape/transpose/slicing/concat/pad,
-reductions, abs/relu and conv3d. Custom nodes (the acquisition node
-`nufft.acquire`, the transformer block `recon.transformer_block`) attach
-their own backward closures via ``Tensor.from_op``. Everything is float64;
-NaN or Inf entering any op is an error.
+The op set is deliberately small and closed: add/sub/mul, basic slicing,
+concat, sum/mean, abs/relu and conv3d. Custom nodes (the acquisition
+`nufft.acquire`, the network `recon.recon_forward`) attach their own backward
+closures via ``Tensor.from_op``; the network's convolutions use conv3d's numpy
+helpers. Everything is float64; NaN or Inf entering any op is an error.
 """
 
 from __future__ import annotations
@@ -68,10 +67,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -105,18 +100,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor.from_op(-self.data, (self,), lambda g: (-g,))
-
     def __sub__(self, other):
         other = self._coerce(other)
         return Tensor.from_op(
             self.data - other.data, (self, other),
             lambda g: (_unbroadcast(g, self.data.shape),
                        _unbroadcast(-g, other.data.shape)))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -127,43 +116,7 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise AutodiffError("division only supported by constants")
-        c = float(other)
-        return self * (1.0 / c)
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        if self.ndim < 2 or other.ndim < 2:
-            raise AutodiffError("matmul requires rank >= 2 operands")
-        data = np.matmul(self.data, other.data)
-
-        def back(g):
-            ga = gb = None
-            if self.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)),
-                                  self.data.shape)
-            if other.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g),
-                                  other.data.shape)
-            return ga, gb
-
-        return Tensor.from_op(data, (self, other), back)
-
-    # -- shape ops ---------------------------------------------------------
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        old = self.data.shape
-        return Tensor.from_op(self.data.reshape(shape), (self,),
-                              lambda g: (g.reshape(old),))
-
-    def transpose(self, axes):
-        inv = tuple(np.argsort(axes))
-        return Tensor.from_op(self.data.transpose(axes), (self,),
-                              lambda g: (g.transpose(inv),))
+    # -- indexing ----------------------------------------------------------
 
     def __getitem__(self, idx):
         # basic indices select distinct entries, so the backward assigns g
@@ -178,13 +131,6 @@ class Tensor:
             return (full,)
 
         return Tensor.from_op(self.data[idx], (self,), back)
-
-    def pad(self, pad_width):
-        """Zero padding; `pad_width` as for np.pad."""
-        pw = tuple((int(a), int(b)) for a, b in pad_width)
-        sl = tuple(slice(a, a + n) for (a, _), n in zip(pw, self.data.shape))
-        return Tensor.from_op(np.pad(self.data, pw), (self,),
-                              lambda g: (g[sl],))
 
     # -- reductions --------------------------------------------------------
 
@@ -238,34 +184,40 @@ def _columns(x, k):
     return view.transpose(0, 4, 5, 6, 1, 2, 3).reshape(-1, x[0].size)
 
 
-def conv3d(x, w):
-    """3D cross-correlation with "same" zero padding.
-
-    x: [C_in, T, H, W]; w: [C_out, C_in, kt, kh, kw] with odd kernel extents;
-    the output is [C_out, T, H, W]. The output, the weight gradient and the
-    input gradient (the correlation of the upstream gradient with the kernel
-    flipped in space and transposed in channels) are each one matmul against
-    `_columns`; the backward rebuilds the columns instead of keeping them, and
-    skips the gradient of an operand that does not require grad.
-    """
+def conv3d_forward(x, w):
+    """3D cross-correlation with "same" zero padding of arrays x [C_in,T,H,W]
+    and w [C_out, C_in, kt, kh, kw] with odd kernel extents: [C_out,T,H,W]."""
     if x.ndim != 4 or w.ndim != 5:
         raise AutodiffError("conv3d expects x rank 4 and w rank 5")
-    cin, t, h, wd = x.data.shape
-    cout, cin_w, *k = w.data.shape
-    if cin != cin_w:
-        raise AutodiffError(f"conv3d channel mismatch: {cin} vs {cin_w}")
+    cout, cin, *k = w.shape
+    if x.shape[0] != cin:
+        raise AutodiffError(f"conv3d channel mismatch: {x.shape[0]} vs {cin}")
     if any(n % 2 == 0 for n in k):
         raise AutodiffError("conv3d kernel extents must be odd")
-    out = (w.data.reshape(cout, -1) @ _columns(x.data, k)).reshape(cout, t, h, wd)
+    return (w.reshape(cout, -1) @ _columns(x, k)).reshape((cout,) + x.shape[1:])
+
+
+def conv3d_grad_weight(g, x, w_shape):
+    """The gradient of `conv3d_forward(x, w)` in w for upstream g."""
+    return (g.reshape(w_shape[0], -1) @ _columns(x, w_shape[2:]).T).reshape(w_shape)
+
+
+def conv3d_grad_input(g, w):
+    """The gradient of `conv3d_forward(x, w)` in x for upstream g: g correlated
+    with the kernel flipped in space and transposed in channels."""
+    w_adj = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(w.shape[1], -1)
+    return (w_adj @ _columns(g, w.shape[2:])).reshape((w.shape[1],) + g.shape[1:])
+
+
+def conv3d(x, w):
+    """`conv3d_forward` as a graph node over the Tensors x and w. Each of the
+    output and the two gradients is one matmul against `_columns`, which the
+    backward rebuilds; it skips the gradient of an operand without grad."""
+    out = conv3d_forward(x.data, w.data)
 
     def back(g):
-        gx = gw = None
-        if w.requires_grad:
-            gw = (g.reshape(cout, -1) @ _columns(x.data, k).T).reshape(w.data.shape)
-        if x.requires_grad:
-            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(cin, -1)
-            gx = (w_adj @ _columns(g, k)).reshape(x.data.shape)
-        return gx, gw
+        return (conv3d_grad_input(g, w.data) if x.requires_grad else None,
+                conv3d_grad_weight(g, x.data, w.data.shape) if w.requires_grad else None)
 
     return Tensor.from_op(out, (x, w), back)
 

@@ -96,15 +96,14 @@ def cmd_gen_data(args):
     print(f"wrote {args.count} volumes to {out}")
 
 
-def _train_configs(args, grid):
-    tcfg = pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
-                          lr_net=args.lr_net, batch=args.batch, seed=args.seed,
-                          frames_k=args.frames_k)
-    pcfg = PhysicsConfig(grid=(grid, grid))
-    window = tuple(int(v) for v in args.window.split(","))
-    rcfg = ReconConfig(channels=args.channels, n_blocks=args.blocks,
-                       heads=args.heads, window=window)
-    return tcfg, pcfg, rcfg
+def _recon_config(args):
+    """The network of the train flags; a malformed one is a usage error."""
+    try:
+        window = tuple(int(v) for v in args.window.split(","))
+        return ReconConfig(channels=args.channels, n_blocks=args.blocks,
+                           heads=args.heads, window=window)
+    except ValueError as exc:
+        raise UsageError(f"invalid network flags: {exc}") from exc
 
 
 # JSON value types a `--config` override may hold, by the flag's argparse type
@@ -128,14 +127,18 @@ def _load_config_overrides(args, parser):
 
 def cmd_train(args, parser):
     _load_config_overrides(args, parser)
+    rcfg = _recon_config(args)
     volumes = dz.load_dataset(args.data)
-    grid = volumes[0].shape[1]
     k = args.frames_k
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     if not samples:
         raise UsageError(f"dataset frames < --frames-k {k}")
 
-    tcfg, pcfg, rcfg = _train_configs(args, grid)
+    tcfg = pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
+                          lr_net=args.lr_net, batch=args.batch, seed=args.seed,
+                          frames_k=k)
+    grid = volumes[0].shape[1]
+    pcfg = PhysicsConfig(grid=(grid, grid))
     rng = np.random.default_rng(args.seed)
     params = init_recon_params(rcfg, rng)
     trajectory = pl.init_trajectory(args.traj, k, args.shots, args.points_per_shot)
@@ -267,6 +270,8 @@ def cmd_export(args):
     # attention: run one volume through the network and dump the maps
     if not args.data:
         raise UsageError("attention export needs --data")
+    if not 0 <= args.block < rcfg.n_blocks:
+        raise UsageError(f"--block must lie in [0, {rcfg.n_blocks})")
     volumes = dz.load_dataset(args.data)
     k = manifest["config"]["frames_k"]
     z = volumes[0][:k]

@@ -6,12 +6,12 @@ single real channel [T,H,W]. Window attention mixes tokens only inside
 non-overlapping (wt, wh, ww) windows; the convolutions provide cross-window
 communication. No window shifting and no relative position bias.
 
-Each transformer block (LN1 -> window MHSA -> residual -> LN2 -> MLP ->
-residual on the window tokens) is one graph node, `transformer_block`, whose
-numpy forward and hand-written backward are `_block_forward` and
-`_block_backward`. The node keeps only its input and parameters; the backward
-recomputes the activations, which trades one extra block forward per sample
-for a graph that holds no attention or MLP activations.
+The network is one graph node, `recon_forward`, over the input and every
+parameter. `_net_forward` runs it in numpy (conv_in; per block pad, window
+partition, transformer block `_block_forward`, unpartition, crop, residual
+conv; conv_out) and `_net_backward` walks those stages in reverse. The node
+keeps only the block and conv inputs; each block's backward recomputes its
+attention and MLP activations. Pad tokens are masked as attention keys.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ class ReconConfig:
 
     def __post_init__(self):
         self.window = tuple(int(v) for v in self.window)
+        if self.channels < 1 or self.heads < 1 or self.n_blocks < 0:
+            raise AutodiffError("channels and heads must be positive, n_blocks >= 0")
         if self.channels % self.heads != 0:
             raise AutodiffError("channels must be divisible by heads")
         if len(self.window) != 3 or min(self.window) < 1:
@@ -63,25 +65,23 @@ class AttentionRecord:
     block_index: int = 0
 
 
-def window_partition(x: Tensor, window) -> Tensor:
-    """[C,T,H,W] -> [n_windows, tokens, C] by non-overlapping tiling."""
+def window_partition(x, window):
+    """[C,T,H,W] array -> [n_windows, tokens, C] by non-overlapping tiling."""
     c, t, h, w = x.shape
     wt, wh, ww = window
     if t % wt or h % wh or w % ww:
         raise AutodiffError(f"volume {t, h, w} not divisible by window {window}")
     nt, nh, nw = t // wt, h // wh, w // ww
-    y = x.reshape(c, nt, wt, nh, wh, nw, ww)
-    y = y.transpose((1, 3, 5, 2, 4, 6, 0))  # [nt,nh,nw, wt,wh,ww, C]
+    y = x.reshape(c, nt, wt, nh, wh, nw, ww).transpose(1, 3, 5, 2, 4, 6, 0)
     return y.reshape(nt * nh * nw, wt * wh * ww, c)
 
 
-def window_unpartition(tokens: Tensor, window, shape) -> Tensor:
+def window_unpartition(tokens, window, shape):
     """Inverse of window_partition; `shape` is the original (C,T,H,W)."""
     c, t, h, w = shape
     wt, wh, ww = window
     nt, nh, nw = t // wt, h // wh, w // ww
-    y = tokens.reshape(nt, nh, nw, wt, wh, ww, c)
-    y = y.transpose((6, 0, 3, 1, 4, 2, 5))
+    y = tokens.reshape(nt, nh, nw, wt, wh, ww, c).transpose(6, 0, 3, 1, 4, 2, 5)
     return y.reshape(c, t, h, w)
 
 
@@ -115,8 +115,10 @@ def _flat(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _attention(x, wqkv, bqkv, wo, bo, heads):
-    """Multi-head self-attention within each window of x [n_windows, N, C].
+def _attention(x, wqkv, bqkv, wo, bo, heads, mask=None):
+    """Multi-head self-attention within each window of x [n_windows, N, C];
+    `mask`, if given, is added to the logits ([n_windows, 1, 1, N], -inf on
+    the keys to ignore).
 
     Returns (out, (q, k, v, weights, heads_out)); `weights` is the softmax
     [n_windows, heads, N, N] and `heads_out` the attention output [n_windows,
@@ -127,7 +129,8 @@ def _attention(x, wqkv, bqkv, wo, bo, heads):
     qkv = x @ wqkv + bqkv  # [nw,N,3C]
     q, k, v = (qkv[:, :, i * c:(i + 1) * c].reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
                for i in range(3))  # [nw,h,N,d]
-    weights = _softmax((q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d)))
+    logits = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+    weights = _softmax(logits if mask is None else logits + mask)
     heads_out = (weights @ v).transpose(0, 2, 1, 3).reshape(nw, n, c)
     return heads_out @ wo + bo, (q, k, v, weights, heads_out)
 
@@ -155,9 +158,10 @@ BLOCK_PARAMS = ("ln1.g", "ln1.b", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo"
                 "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
-def _block_forward(x, P, heads):
+def _block_forward(x, P, heads, mask=None):
     """One transformer block on window tokens x [n_windows, N, C]:
-    LN1 -> window MHSA -> residual -> LN2 -> MLP -> residual.
+    LN1 -> window MHSA (logit `mask` as in `_attention`) -> residual -> LN2 ->
+    MLP -> residual.
 
     P holds the BLOCK_PARAMS arrays in order. Returns (out, acts), where
     `acts` are the activations `_block_backward` needs; acts[2][3] are the
@@ -165,7 +169,7 @@ def _block_forward(x, P, heads):
     """
     g1, b1, wqkv, bqkv, wo, bo, g2, b2, w1, c1, w2, c2 = P
     n1, xhat1, inv1 = _layer_norm(x, g1, b1)
-    att, att_acts = _attention(n1, wqkv, bqkv, wo, bo, heads)
+    att, att_acts = _attention(n1, wqkv, bqkv, wo, bo, heads, mask)
     y1 = x + att
     n2, xhat2, inv2 = _layer_norm(y1, g2, b2)
     hid = n2 @ w1 + c1
@@ -173,11 +177,11 @@ def _block_forward(x, P, heads):
     return y1 + (hid @ w2 + c2), ((xhat1, inv1), n1, att_acts, (xhat2, inv2), n2, hid)
 
 
-def _block_backward(g, x, P, heads):
+def _block_backward(g, x, P, heads, mask=None):
     """Gradients of `_block_forward` for upstream g: the input's, then each
     of P's. Recomputes the forward's activations from x and P."""
     g1, _, wqkv, _, wo, _, g2, _, w1, _, w2, _ = P
-    _, (ln1, n1, att_acts, ln2, n2, hid) = _block_forward(x, P, heads)
+    _, (ln1, n1, att_acts, ln2, n2, hid) = _block_forward(x, P, heads, mask)
     # MLP and LN2; the residual adds g
     gw2, gc2 = _flat(hid).T @ _flat(g), g.sum(axis=(0, 1))
     ghid = (g @ w2.T) * (hid > 0)
@@ -191,25 +195,10 @@ def _block_backward(g, x, P, heads):
     return gx, gg1, gb1, gwqkv, gbqkv, gwo, gbo, gg2, gb2, gw1, gc1, gw2, gc2
 
 
-def transformer_block(tokens: Tensor, params: dict, prefix: str, heads: int,
-                      record: bool = False):
-    """The block `_block_forward` as one graph node over the tokens and the
-    12 `{prefix}.*` parameters. The node keeps only its inputs and recomputes
-    the activations in its backward.
-
-    Returns (output [n_windows, N, C], softmax weights if `record` else None).
-    """
-    parents = (tokens,) + tuple(params[f"{prefix}.{name}"] for name in BLOCK_PARAMS)
-    x, P = tokens.data, tuple(p.data for p in parents[1:])
-    out, acts = _block_forward(x, P, heads)
-    weights = acts[2][3] if record else None
-    return Tensor.from_op(out, parents, lambda g: _block_backward(g, x, P, heads)), weights
-
-
 def wmsa_forward(tokens: Tensor, params: dict, heads: int, prefix: str,
                  record: bool = False):
     """Multi-head self-attention within each window, as constant values
-    (training differentiates it inside `transformer_block`).
+    (training differentiates it inside the `recon_forward` node).
 
     tokens: [n_windows, N, C]. Returns (output [n_windows, N, C], softmax
     weights [n_windows, heads, N, N] if `record` else None).
@@ -261,59 +250,92 @@ def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
     return params
 
 
-def _pad_to_window(x: Tensor, window):
-    """Symmetric zero-pad [C,T,H,W] so every axis divides its window extent."""
-    _, t, h, w = x.shape
+def _window_geometry(shape, window):
+    """(np.pad widths, crop, pad-key logit mask or None) that pad a [C,T,H,W]
+    volume symmetrically to the window grid. Each axis pads by less than its
+    window extent, so every window keeps a real token."""
     pads = [(0, 0)]
-    for size, win in zip((t, h, w), window):
+    for size, win in zip(shape[1:], window):
         extra = (-size) % win
         pads.append((extra // 2, extra - extra // 2))
-    if any(a or b for a, b in pads):
-        return x.pad(pads), pads
-    return x, pads
-
-
-def _crop(x: Tensor, pads, shape):
+    crop = (slice(None),) + tuple(slice(a, a + n) for (a, _), n in zip(pads[1:], shape[1:]))
     if not any(a or b for a, b in pads):
-        return x
-    sl = tuple(slice(a, a + n) for (a, _), n in zip(pads, shape))
-    return x[sl]
+        return pads, crop, None
+    is_pad = window_partition(np.pad(np.zeros((1,) + shape[1:]), pads, constant_values=1.0),
+                              window)[:, :, 0]
+    return pads, crop, np.where(is_pad > 0, -np.inf, 0.0)[:, None, None, :]
+
+
+def _block_params(P, i):
+    return tuple(P[f"block{i}.{name}"] for name in BLOCK_PARAMS)
+
+
+def _net_forward(x, P, cfg: ReconConfig, record):
+    """The network on the input array x [2,T,H,W] with the parameter arrays
+    P {name: array}. Returns (out [T,H,W], saved, records): `saved` holds the
+    (block input, residual conv input) of each block, then conv_out's input;
+    `records` the blocks' AttentionRecords if `record`."""
+    h = ad.conv3d_forward(x, P["conv_in.w"]) + P["conv_in.b"]
+    pads, crop, mask = _window_geometry(h.shape, cfg.window)
+    saved, records = [], []
+    for i in range(cfg.n_blocks):
+        xp = np.pad(h, pads)
+        win, acts = _block_forward(window_partition(xp, cfg.window), _block_params(P, i),
+                                   cfg.heads, mask)
+        if record:
+            grid = tuple(n // e for n, e in zip(xp.shape[1:], cfg.window))
+            records.append(AttentionRecord(acts[2][3], cfg.window, grid, block_index=i))
+        del acts  # the backward recomputes the block's activations
+        y = window_unpartition(win, cfg.window, xp.shape)[crop]
+        saved.append((h, y))
+        h = y + ad.conv3d_forward(y, P[f"block{i}.conv.w"]) + P[f"block{i}.conv.b"]
+    saved.append(h)
+    return (ad.conv3d_forward(h, P["conv_out.w"]) + P["conv_out.b"])[0], saved, records
+
+
+def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad):
+    """Gradients of `_net_forward` for upstream g [T,H,W] from its `saved`
+    arrays: (the input's, None without `input_grad`; {name: gradient})."""
+    pads, crop, mask = _window_geometry(x.shape, cfg.window)
+    grads = {}
+
+    def conv(name, g, inp, input_grad=True):
+        grads[f"{name}.b"] = ad._unbroadcast(g, P[f"{name}.b"].shape)
+        grads[f"{name}.w"] = ad.conv3d_grad_weight(g, inp, P[f"{name}.w"].shape)
+        return ad.conv3d_grad_input(g, P[f"{name}.w"]) if input_grad else None
+
+    gh = conv("conv_out", g[None], saved[-1])
+    for i in reversed(range(cfg.n_blocks)):
+        h, y = saved[i]
+        gy = gh + conv(f"block{i}.conv", gh, y)
+        xp = np.pad(h, pads)
+        gwin, *gp = _block_backward(window_partition(np.pad(gy, pads), cfg.window),
+                                    window_partition(xp, cfg.window),
+                                    _block_params(P, i), cfg.heads, mask)
+        grads.update((f"block{i}.{name}", gv) for name, gv in zip(BLOCK_PARAMS, gp))
+        gh = window_unpartition(gwin, cfg.window, xp.shape)[crop]
+    return conv("conv_in", gh, x, input_grad), grads
 
 
 def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
                   record_attention: bool = False):
     """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records).
 
-    Per block: pad to the window grid, `transformer_block` on the window
-    tokens, unpad, then a residual 3x3x3 convolution. With `record_attention`
-    each block's softmax weights come from that same forward pass.
+    One graph node whose parents are the input and every parameter, in
+    sorted name order. With `record_attention` each block's softmax weights
+    come from that same forward pass.
     """
     if z_regrid.shape[0] != 2:
         raise AutodiffError("expected a 2-channel (real, imag) input")
-    records = []
+    names = sorted(params)
+    x, P = z_regrid.data, {n: params[n].data for n in names}
+    out, saved, records = _net_forward(x, P, cfg, record_attention)
 
-    x = ad.conv3d(z_regrid, params["conv_in.w"]) + params["conv_in.b"]
-    for i in range(cfg.n_blocks):
-        p = f"block{i}"
-        shape = x.shape
-        # the pad tokens pass through the block too (also as attention keys);
-        # the crop below removes them
-        xp, pads = _pad_to_window(x, cfg.window)
-        win, weights = transformer_block(window_partition(xp, cfg.window), params, p,
-                                         cfg.heads, record=record_attention)
-        if record_attention:
-            _, t, h, w = xp.shape
-            wt, wh, ww = cfg.window
-            records.append(AttentionRecord(
-                weights=weights, window=cfg.window,
-                grid=(t // wt, h // wh, w // ww), block_index=i))
-        x = _crop(window_unpartition(win, cfg.window, xp.shape), pads, shape)
-        # convolution with residual
-        x = x + ad.conv3d(x, params[f"{p}.conv.w"]) + params[f"{p}.conv.b"]
+    def back(g):
+        gx, grads = _net_backward(g, x, P, cfg, saved, z_regrid.requires_grad)
+        return (gx,) + tuple(grads[n] for n in names)
 
-    out = ad.conv3d(x, params["conv_out.w"]) + params["conv_out.b"]
-    t, h, w = out.shape[1:]
-    return out.reshape(t, h, w), records
+    return Tensor.from_op(out, (z_regrid,) + tuple(params[n] for n in names), back), records
 
 
 # -- checkpoints --------------------------------------------------------------

@@ -103,6 +103,18 @@ def test_train_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, overr
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [["--window", "2,4"], ["--window", "a,b,c"],
+                                   ["--window", "0,2,2"], ["--channels", "6", "--heads", "4"]],
+                         ids=["two-extents", "not-integers", "zero-extent",
+                              "channels-not-divisible-by-heads"])
+def test_train_malformed_network_is_usage_error(tmp_path, capsys, flags):
+    # the dataset does not exist: a usage error shows the check came first
+    rc = main(_train_args(tmp_path / "no-data", tmp_path / "out") + flags)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
 def test_refine_without_prior_run_is_usage_error(dataset, tmp_path, capsys):
     rc = main(["refine", "--run", str(tmp_path / "none"), "--data", str(dataset)])
     assert rc == 2
@@ -226,6 +238,17 @@ def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys):
                "--region-x", str(GRID * 4)])
     assert rc == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("block", ["1", "-1"])
+def test_export_attention_block_out_of_range_is_usage_error(dataset, run_dir, tmp_path,
+                                                            capsys, block):
+    # the run has one block
+    rc = main(["export", "attention", "--run", str(run_dir), "--data", str(dataset),
+               "--out", str(tmp_path / "attn"), "--block", block])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "attn.csv").exists()
 
 
 def test_metrics_command(dataset, tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 from dyncs import autodiff as ad
 from dyncs.autodiff import AutodiffError, Tensor
-from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, export_attention,
-                         init_recon_params, load_checkpoint, recon_forward,
-                         save_checkpoint, transformer_block, window_partition,
+from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, _block_forward,
+                         export_attention, init_recon_params, load_checkpoint,
+                         recon_forward, save_checkpoint, window_partition,
                          window_unpartition, wmsa_forward)
 
 from gradcheck import grad_check
@@ -33,28 +33,27 @@ def _attn_params(rng, c, prefix="w"):
 # -- window partition -------------------------------------------------------------
 
 def test_full_volume_window_is_single_window():
-    x = Tensor(np.random.default_rng(0).normal(size=(3, 2, 4, 4)))
+    x = np.random.default_rng(0).normal(size=(3, 2, 4, 4))
     tokens = window_partition(x, (2, 4, 4))
     assert tokens.shape == (1, 32, 3)
 
 
 def test_partition_unpartition_is_bit_exact_identity():
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(5, 4, 8, 8)))
+    x = rng.normal(size=(5, 4, 8, 8))
     tokens = window_partition(x, (2, 4, 4))
     back = window_unpartition(tokens, (2, 4, 4), x.shape)
-    assert np.array_equal(back.data, x.data)
+    assert np.array_equal(back, x)
 
 
 def test_partition_counts_windows_and_tokens():
-    x = Tensor(np.zeros((1, 4, 8, 8)))
-    tokens = window_partition(x, (2, 4, 4))
+    tokens = window_partition(np.zeros((1, 4, 8, 8)), (2, 4, 4))
     assert tokens.shape == (8, 32, 1)
 
 
 def test_partition_rejects_non_divisible_volume():
     with pytest.raises(AutodiffError):
-        window_partition(Tensor(np.zeros((1, 3, 8, 8))), (2, 4, 4))
+        window_partition(np.zeros((1, 3, 8, 8)), (2, 4, 4))
 
 
 # -- attention ---------------------------------------------------------------------
@@ -166,20 +165,23 @@ def test_non_divisible_input_padded_and_cropped():
     assert out.shape == (3, 5, 7)
 
 
+def _perturbed_params(cfg, rng):
+    """Initial parameters moved off their special values: the output layer
+    initializes to zero, which would zero out every upstream gradient, and
+    the unit gains and zero biases are symmetric points."""
+    params = init_recon_params(cfg, rng)
+    for p in params.values():
+        p.data = p.data + 0.1 * rng.normal(size=p.shape)
+    return params
+
+
 def test_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    cfg = _small_cfg(window=(2, 4, 4))
-    params = init_recon_params(cfg, rng)
-    # the output layer initializes to zero, which would zero out every
-    # upstream gradient; give it weight so the check is not vacuous, and move
-    # the block's unit gains and zero biases off their special values
-    params["conv_out.w"].data[:] = 0.1 * rng.normal(
-        size=params["conv_out.w"].shape)
-    for name in BLOCK_PARAMS:
-        params[f"block0.{name}"].data += 0.1 * rng.normal(size=params[f"block0.{name}"].shape)
-    # 3x10x14 pads to 4x12x16, so pad tokens pass through the block node
-    x = Tensor(rng.normal(size=(2, 3, 10, 14)))
-    target = Tensor(rng.normal(size=(3, 10, 14)))
+    cfg = _small_cfg(n_blocks=2, window=(2, 4, 4))
+    params = _perturbed_params(cfg, rng)
+    # 3x6x7 pads to 4x8x8, so pad tokens pass through both blocks
+    x = Tensor(rng.normal(size=(2, 3, 6, 7)))
+    target = Tensor(rng.normal(size=(3, 6, 7)))
 
     def loss(trial, inp):
         out, _ = recon_forward(inp, cfg, trial)
@@ -187,20 +189,50 @@ def test_parameter_gradients_match_finite_differences():
         return (diff * diff).mean()
 
     c = cfg.channels
-    for name in BLOCK_PARAMS:
-        name = f"block0.{name}"
-        value = params[name].data.copy()
+    for name, p in params.items():
         if name.endswith("bqkv"):
             # the key bias shifts each softmax row by a constant, so its
             # gradient is zero up to rounding; probe the query and value biases
-            key_bias = Tensor(value[c:2 * c])
+            key_bias = Tensor(p.data[c:2 * c])
             err = grad_check(lambda t: loss({**params, name: ad.concat(
-                [t[:c], key_bias, t[c:]])}, x), Tensor(np.delete(value, np.s_[c:2 * c])))
+                [t[:c], key_bias, t[c:]])}, x), Tensor(np.delete(p.data, np.s_[c:2 * c])))
         else:
-            err = grad_check(lambda t: loss({**params, name: t}, x), Tensor(value))
+            err = grad_check(lambda t: loss({**params, name: t}, x), Tensor(p.data))
         assert err < 1e-4, name
-    # the block input: every path from the network input passes through it
     assert grad_check(lambda t: loss(params, t), x) < 1e-4
+
+
+def test_constant_input_gives_the_same_parameter_gradients():
+    rng = np.random.default_rng(20)
+    cfg = _small_cfg(n_blocks=2, window=(2, 4, 4))
+    params = _perturbed_params(cfg, rng)
+    data = rng.normal(size=(2, 3, 10, 14))
+    grads = []
+    for requires_grad in (True, False):
+        for p in params.values():
+            p.grad = None
+        x = Tensor(data, requires_grad=requires_grad)
+        out, _ = recon_forward(x, cfg, params)
+        (out * out).sum().backward()
+        assert (x.grad is not None) == requires_grad
+        grads.append({name: p.grad for name, p in params.items()})
+    for name in params:
+        assert np.array_equal(grads[0][name], grads[1][name]), name
+
+
+def test_pad_keys_get_no_attention():
+    rng = np.random.default_rng(21)
+    cfg = _small_cfg(channels=8, window=(2, 4, 4))
+    params = _perturbed_params(cfg, rng)
+    # 3 frames pad to 4: the last temporal slab's windows hold a pad frame
+    x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+    _, (record,) = recon_forward(x, cfg, params, record_attention=True)
+    is_pad = window_partition(np.pad(np.zeros((1, 3, 8, 8)), [(0, 0), (0, 1), (0, 0), (0, 0)],
+                                     constant_values=1.0), cfg.window)[:, :, 0] > 0
+    assert is_pad.any()
+    for w in range(record.weights.shape[0]):
+        assert np.all(record.weights[w][:, :, is_pad[w]] == 0.0)
+    np.testing.assert_allclose(record.weights.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def _block_reference(x, p, heads):
@@ -231,9 +263,10 @@ def test_transformer_block_matches_composed_reference():
     for name in BLOCK_PARAMS:
         params[f"block0.{name}"].data += 0.1 * rng.normal(size=params[f"block0.{name}"].shape)
     tokens = rng.normal(size=(5, 16, 8))
-    out, weights = transformer_block(Tensor(tokens), params, "block0", heads=4, record=True)
+    out, acts = _block_forward(tokens, [params[f"block0.{n}"].data for n in BLOCK_PARAMS], 4)
     expected = _block_reference(tokens, {n: params[f"block0.{n}"].data for n in BLOCK_PARAMS}, 4)
-    assert np.max(np.abs(out.data - expected)) < 1e-14 * np.max(np.abs(expected))
+    assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
+    weights = acts[2][3]
     assert weights.shape == (5, 4, 16, 16)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -265,8 +298,10 @@ def test_recon_graph_keeps_no_block_activations():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # ~7 MB of tokens, convolution outputs and block inputs; a graph that
-    # keeps every attention and MLP activation holds ~55 MB
+    # the network is one node over the input and every parameter
+    assert out._prev == (x,) + tuple(params[n] for n in sorted(params))
+    # ~2.7 MB of block inputs and conv inputs; a graph that keeps every
+    # attention and MLP activation holds ~55 MB
     assert held < 20e6
     loss.backward()
     assert all(p.grad is not None for p in params.values())
@@ -338,5 +373,7 @@ def test_export_region_out_of_bounds_rejected(tmp_path):
 
 
 def test_config_invariants():
-    with pytest.raises(AutodiffError):
-        ReconConfig(channels=6, heads=4)
+    for bad in (dict(channels=6, heads=4), dict(heads=0), dict(channels=0),
+                dict(n_blocks=-1), dict(window=(2, 4)), dict(window=(0, 2, 2))):
+        with pytest.raises(AutodiffError):
+            ReconConfig(**bad)
