@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import data as dz
-from .autodiff import Tensor
+from .autodiff import AutodiffError, Tensor
 from . import metrics as qm
 from . import pipeline as pl
 from .recon import (ReconConfig, export_attention, init_recon_params,
@@ -106,6 +106,16 @@ def _recon_config(args):
         raise UsageError(f"invalid network flags: {exc}") from exc
 
 
+def _train_config(args):
+    """The training stage of the train flags; an invalid one is a usage error."""
+    try:
+        return pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
+                              lr_net=args.lr_net, batch=args.batch, seed=args.seed,
+                              frames_k=args.frames_k)
+    except AutodiffError as exc:
+        raise UsageError(f"invalid training flags: {exc}") from exc
+
+
 # JSON value types a `--config` override may hold, by the flag's argparse type
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
@@ -128,15 +138,13 @@ def _load_config_overrides(args, parser):
 def cmd_train(args, parser):
     _load_config_overrides(args, parser)
     rcfg = _recon_config(args)
+    tcfg = _train_config(args)
     volumes = dz.load_dataset(args.data)
     k = args.frames_k
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     if not samples:
         raise UsageError(f"dataset frames < --frames-k {k}")
 
-    tcfg = pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
-                          lr_net=args.lr_net, batch=args.batch, seed=args.seed,
-                          frames_k=k)
     grid = volumes[0].shape[1]
     pcfg = PhysicsConfig(grid=(grid, grid))
     rng = np.random.default_rng(args.seed)

@@ -4,10 +4,11 @@ coords, and the emulated acquisition AᴴA as one autodiff graph node.
 Each call builds per-axis phase tables [T, S*m, H] and [T, S*m, W] from its
 coordinates, by the exact factorization exp(-i (kx*x + ky*y)) =
 exp(-i kx*x) * exp(-i ky*y), and contracts the image against them, batched
-over frames; no state is kept between calls. `acquire` also takes leading
-batch axes: images [..., T, H, W] share one set of tables, built once per
-forward and once per backward, and its coordinate gradient is summed over
-those axes. Conventions:
+over frames; no state is kept between calls. A table takes cos and sin only
+at x <= 0 and fills x > 0 by conjugation. `acquire` also takes leading batch
+axes: images [..., T, H, W] share one set of tables, built once per forward
+and once per backward, and are contracted against them one image at a time;
+its coordinate gradient is summed over those axes. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
   * image indices are centered: x in {-H//2, ..., H - H//2 - 1}, y likewise;
@@ -40,13 +41,23 @@ def _validate_coords(coords, t_frames):
     return coords
 
 
+def _axis_table(k, n):
+    """exp(-i k*x) [..., n] over the centered indices x of an axis of n,
+    bit-identical to np.exp(-1j * (k*x)): cos and sin of k*x at x <= 0, and
+    exp(-i k*x) = conj(exp(-i k*(-x))) at x > 0."""
+    half = n // 2
+    table = np.empty(k.shape + (n,), dtype=np.complex128)
+    phase = k[..., None] * np.arange(-half, 1)
+    np.cos(phase, out=table.real[..., :half + 1])
+    np.sin(-phase, out=table.imag[..., :half + 1])
+    table[..., half + 1:] = table[..., 2 * half + 1 - n:half][..., ::-1].conj()
+    return table
+
+
 def _phase_tables(coords, h, w):
     """exp(-i kx*x) [T, S*m, H] and exp(-i ky*y) [T, S*m, W]."""
-    xs, ys = _centered_axes(h, w)
     flat = coords.reshape(coords.shape[0], -1, 2)
-    ex = np.exp(-1j * (flat[..., 0, None] * xs))
-    ey = np.exp(-1j * (flat[..., 1, None] * ys))
-    return ex, ey
+    return _axis_table(flat[..., 0], h), _axis_table(flat[..., 1], w)
 
 
 def _forward(ex, ey, z):
@@ -59,16 +70,13 @@ def _adjoint(ex, ey, x):
     return ex.conj().swapaxes(1, 2) @ (x[..., None] * ey.conj())
 
 
-def _coord_term(a, z, ez, ex, ey):
+def _coord_term(a, z, ez, exs, ey, ys):
     """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[t,x,y]
-    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient under upstream a,
-    summed over the leading axes of z [..., T,H,W]. `ez` is ex @ z * ey, the
-    forward transform of z before its sum over y."""
-    xs, ys = _centered_axes(*z.shape[-2:])
+    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient of one image
+    z [T,H,W] under upstream a. `ez` is ex @ z * ey, the forward transform of
+    z before its sum over y, and `exs` is ex * x."""
     a = a.conj()
-    fx = _forward(ex * xs, ey, z)
-    term = np.stack([np.imag(a * fx), np.imag(a * (ez @ ys))], axis=-1)
-    return term.reshape((-1,) + term.shape[-3:]).sum(0)
+    return np.stack([np.imag(a * _forward(exs, ey, z)), np.imag(a * (ez @ ys))], axis=-1)
 
 
 def nudft_forward(z, coords):
@@ -95,7 +103,9 @@ def acquire(z, coords: Tensor) -> Tensor:
     """Emulated acquisition AᴴA z / (H*W) of constant real images
     z [..., T,H,W] on the coords Tensor [T,S,m,2]: the regridded volumes as
     (real, imag) channels [..., 2,T,H,W]. Every image along the leading axes
-    is acquired with the same coords, from one build of the phase tables.
+    is acquired with the same coords, from one build of the phase tables,
+    and contracted against them on its own: a broadcast matmul over the
+    leading axes is slower, and its backward's transients grow with them.
 
     With X = A z and complex upstream G, U = A G / (H*W), the coordinate
     gradient is Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk), each
@@ -103,18 +113,24 @@ def acquire(z, coords: Tensor) -> Tensor:
     """
     z = np.asarray(z, dtype=np.float64)
     *_, t_frames, h, w = z.shape
+    images = z.reshape((-1,) + z.shape[-3:])
     cd = _validate_coords(coords.data, t_frames)
     ex, ey = _phase_tables(cd, h, w)
-    x = _forward(ex, ey, z)
-    zt = _adjoint(ex, ey, x) / (h * w)
+    x = [_forward(ex, ey, zb) for zb in images]
+    zt = np.stack([_adjoint(ex, ey, xb) for xb in x]).reshape(z.shape) / (h * w)
 
     def back(g):
         ex, ey = _phase_tables(cd, h, w)  # rebuilt, not kept alive by the graph
-        gu = g[..., 0, :, :, :] + 1j * g[..., 1, :, :, :]
-        egu = ex @ gu * ey
-        u = egu.sum(-1) / (h * w)
-        return (_coord_term(x, gu, egu, ex, ey).reshape(cd.shape) / (h * w),
-                _coord_term(u, z, ex @ z * ey, ex, ey).reshape(cd.shape))
+        xs, ys = _centered_axes(h, w)
+        exs = ex * xs
+        gu = (g[..., 0, :, :, :] + 1j * g[..., 1, :, :, :]).reshape(images.shape)
+        adj = fwd = 0.0
+        for zb, xb, gb in zip(images, x, gu):
+            egu = ex @ gb * ey
+            u = egu.sum(-1) / (h * w)
+            adj = adj + _coord_term(xb, gb, egu, exs, ey, ys)
+            fwd = fwd + _coord_term(u, zb, ex @ zb * ey, exs, ey, ys)
+        return adj.reshape(cd.shape) / (h * w), fwd.reshape(cd.shape)
 
     # coords is a parent twice, once per transform, so the adjoint's and then
     # the forward's gradient term accumulate into coords.grad one at a time:

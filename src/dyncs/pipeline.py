@@ -2,10 +2,12 @@
 stages: joint main training and the stacked-trajectory refinement with the
 temporal-derivative hinge penalty.
 
-One training loop (`_fit`) serves both stages, and one windowed
-reconstruction (`_recon_windows`: acquire and reconstruct each k-frame window
-of a sequence with the k-frame trajectory) serves main training, refinement
-and stacked evaluation alike.
+One training loop (`_fit`) serves both stages, and one acquisition path
+serves main training, refinement, validation and stacked evaluation alike:
+`_acquire_windows` acquires every k-frame window of a list of sequences with
+the k-frame trajectory in one `acquire` call, and `_reconstruct` runs the
+network on each window of one sequence. An optimizer step acquires its whole
+mini-batch at once but differentiates the network one sample at a time.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class TrainConfig:
         if self.lr_net_refine <= 0 or self.lr_traj_refine < 0:
             raise AutodiffError(
                 "refine learning rates must be positive (lr_traj_refine may be 0)")
-        if self.lambda_ref < 0 or self.frames_k < 2:
-            raise AutodiffError("lambda_ref >= 0 and frames_k >= 2 required")
+        if self.lambda_ref < 0 or self.frames_k < 2 or self.batch < 1:
+            raise AutodiffError("lambda_ref >= 0, frames_k >= 2 and batch >= 1 required")
         if self.mu_mode not in ("abs", "signed"):
             raise AutodiffError("mu_mode must be 'abs' or 'signed'")
 
@@ -124,16 +126,23 @@ def loss_refine(z_hat_stacked: Tensor, z, stats: MuStats, lambda_ref,
     return base + hinge * float(lambda_ref)
 
 
-def _recon_windows(z, coords_t, params, rcfg):
-    """Acquire and reconstruct each k-frame window of the sequence `z` with
-    the k-frame trajectory `coords_t` (k = coords_t.shape[0]), the last
-    window zero-padded to k frames; yields one [k,H,W] tensor per window.
-    All windows are acquired in one `acquire` call, so the trajectory's
-    phase tables are built once per sequence."""
-    regrid = acquire(np.stack(partition_frames(z, coords_t.shape[0])), coords_t)
-    for i in range(regrid.shape[0]):
-        z_hat, _ = recon_forward(regrid[i], rcfg, params)
-        yield z_hat
+def _acquire_windows(seqs, coords_t):
+    """Acquire every k-frame window of the sequences `seqs` with the k-frame
+    trajectory `coords_t` (k = coords_t.shape[0]), the last window of each
+    zero-padded to k frames, in one `acquire` call, so the trajectory's phase
+    tables are built once per pass. Returns the regridded windows
+    [n_windows, 2,k,H,W] and each sequence's slice of them."""
+    windows = [partition_frames(z, coords_t.shape[0]) for z in seqs]
+    ends = np.cumsum([len(w) for w in windows])
+    spans = [slice(end - len(w), end) for w, end in zip(windows, ends)]
+    return acquire(np.stack([u for w in windows for u in w]), coords_t), spans
+
+
+def _reconstruct(regrid, net, rcfg):
+    """Reconstruct each regridded window of one sequence, regrid
+    [n_windows, 2,k,H,W], and concatenate them: [n_windows*k, H,W]."""
+    return ad.concat(recon_forward(regrid[i], rcfg, net)[0]
+                     for i in range(regrid.shape[0]))
 
 
 def _constants(params):
@@ -165,15 +174,21 @@ def _apply_constraints(coords, bounds):
     return project_kinematic(Trajectory(clipped), bounds, tol=PROJECTION_TOL).coords
 
 
-def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
+def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
          seed, lr_net, lr_traj) -> TrainResult:
     """Adam on the network parameters (held fixed when `lr_net` is None) and
     on the trajectory coords, which are re-projected onto the feasible set
-    after every update. `loss_fn(z, coords_t, net)` is the per-sample loss of
-    the network parameters `net`: `params` itself, or constants over the same
-    arrays when they are held fixed. The validation loss is its mean over the
-    held-out samples on frozen coords and constant parameters. History
-    records one row per epoch. Deterministic given `seed`.
+    after every update. `loss_fn(z_hat, z)` is the per-sample loss of the
+    reconstruction `z_hat` of the sample z. The validation loss is its mean
+    over the held-out samples on frozen coords and constant parameters.
+    History records one row per epoch. Deterministic given `seed`.
+
+    A step acquires its mini-batch in one `acquire` call. Each sample then
+    reconstructs from a leaf over its slice of the regridded windows and
+    runs its own backward, so only one sample's network graph is alive at a
+    time and the parameter gradients accumulate in sample order. One
+    backward of the acquisition under the leaves' gradients then gives the
+    coordinate gradient.
     """
     rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
@@ -199,13 +214,19 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
             coords_t = Tensor(coords, requires_grad=traj_state is not None)
             for name in sorted(params):
                 params[name].grad = None
-            for i in batch:
-                loss = loss_fn(volumes[i], coords_t, net)
+            regrid, spans = _acquire_windows([volumes[i] for i in batch], coords_t)
+            leaf_grads = []
+            for i, span in zip(batch, spans):
+                leaf = Tensor(regrid.data[span], requires_grad=regrid.requires_grad)
+                loss = loss_fn(_reconstruct(leaf, net, rcfg), volumes[i])
                 if not np.isfinite(loss.item()):
                     raise TrainingDiverged(
                         f"loss became non-finite during {stage} epoch {epoch}")
                 epoch_losses.append(loss.item())
                 loss.backward()
+                leaf_grads.append(leaf.grad)
+            if regrid.requires_grad:
+                regrid.backward(np.concatenate(leaf_grads))
             scale = 1.0 / len(batch)
             if net_states is not None:
                 for name in sorted(params):
@@ -219,9 +240,13 @@ def _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, stage, epochs,
                 coords = _apply_constraints(coords, bounds)
             vel, acc = feasibility_report(Trajectory(coords), bounds)
             max_violation = max(max_violation, vel, acc)
-        frozen = Tensor(coords)
-        vals = [loss_fn(volumes[i], frozen, _constants(params)).item()
-                for i in val_idx]
+        vals = []
+        if val_idx:
+            val = [volumes[i] for i in val_idx]
+            regrid, spans = _acquire_windows(val, Tensor(coords))
+            constants = _constants(params)
+            vals = [loss_fn(_reconstruct(regrid[span], constants, rcfg), z).item()
+                    for z, span in zip(val, spans)]
         history.append({"epoch": epoch, "stage": stage,
                         "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": float(np.mean(vals)) if vals else float("nan"),
@@ -234,10 +259,7 @@ def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
                rcfg: ReconConfig, params: dict, trajectory: Trajectory) -> TrainResult:
     """Joint Adam optimization of network parameters and trajectory coords
     on k-frame samples, with the MSE loss."""
-    def loss_fn(z, coords_t, net):
-        return loss_main(ad.concat(_recon_windows(z, coords_t, net, rcfg)), z)
-
-    return _fit(volumes, loss_fn, tcfg, pcfg, params, trajectory, "main",
+    return _fit(volumes, loss_main, tcfg, pcfg, rcfg, params, trajectory, "main",
                 tcfg.epochs_main, tcfg.seed, tcfg.lr_net, tcfg.lr_traj)
 
 
@@ -255,12 +277,11 @@ def train_refine(volumes_2k, tcfg: TrainConfig, stats: MuStats,
         if v.shape[0] != 2 * k:
             raise AutodiffError(f"refinement data must have {2 * k} frames")
 
-    def loss_fn(z, coords_t, net):
-        z_hat = ad.concat(_recon_windows(z, coords_t, net, rcfg))
+    def loss_fn(z_hat, z):
         return loss_refine(z_hat, z, stats, tcfg.lambda_ref, mode=tcfg.mu_mode)
 
     lr_net = None if tcfg.freeze_theta_refine else tcfg.lr_net_refine
-    return _fit(volumes_2k, loss_fn, tcfg, pcfg, params, trajectory, "refine",
+    return _fit(volumes_2k, loss_fn, tcfg, pcfg, rcfg, params, trajectory, "refine",
                 tcfg.epochs_refine, tcfg.seed + 1, lr_net, tcfg.lr_traj_refine)
 
 
@@ -284,9 +305,8 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     t_total = z_long.shape[0]
     if trajectory.n_frames != k:
         raise AutodiffError("trajectory frame count must equal k")
-    windows = _recon_windows(z_long, Tensor(trajectory.coords), _constants(params),
-                             rcfg)
-    recon = np.concatenate([w.data for w in windows], axis=0)[:t_total]
+    regrid, _ = _acquire_windows([z_long], Tensor(trajectory.coords))
+    recon = _reconstruct(regrid, _constants(params), rcfg).data[:t_total]
     mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))
     return EvalResult(reconstruction=recon, mu=mu, metrics=report)

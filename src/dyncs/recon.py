@@ -135,13 +135,13 @@ def _attention(x, wqkv, bqkv, wo, bo, heads, mask=None):
     return heads_out @ wo + bo, (q, k, v, weights, heads_out)
 
 
-def _attention_backward(g, x, wqkv, wo, acts, heads):
+def _attention_backward(g, x, wqkv, wo, acts, heads, param_grads=True):
     """Gradients (x, wqkv, bqkv, wo, bo) of `_attention` for upstream g,
-    from the activations `acts` of its forward."""
+    from the activations `acts` of its forward; without `param_grads` only
+    x's, and None for each parameter's."""
     q, k, v, weights, heads_out = acts
     nw, n, c = x.shape
     d = c // heads
-    gwo, gbo = _flat(heads_out).T @ _flat(g), g.sum(axis=(0, 1))
     gh = (g @ wo.T).reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
     gw = gh @ v.transpose(0, 1, 3, 2)
     gv = weights.transpose(0, 1, 3, 2) @ gh
@@ -150,7 +150,10 @@ def _attention_backward(g, x, wqkv, wo, acts, heads):
     gk = glogits.transpose(0, 1, 3, 2) @ q
     gqkv = np.concatenate([t.transpose(0, 2, 1, 3).reshape(nw, n, c) for t in (gq, gk, gv)],
                           axis=-1)
-    return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), gqkv.sum(axis=(0, 1)), gwo, gbo)
+    if not param_grads:
+        return gqkv @ wqkv.T, None, None, None, None
+    return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), gqkv.sum(axis=(0, 1)),
+            _flat(heads_out).T @ _flat(g), g.sum(axis=(0, 1)))
 
 
 # the parameters of one transformer block, in the order of `_block_forward`'s P
@@ -177,22 +180,24 @@ def _block_forward(x, P, heads, mask=None):
     return y1 + (hid @ w2 + c2), ((xhat1, inv1), n1, att_acts, (xhat2, inv2), n2, hid)
 
 
-def _block_backward(g, x, P, heads, mask=None):
+def _block_backward(g, x, P, heads, mask=None, param_grads=True):
     """Gradients of `_block_forward` for upstream g: the input's, then each
-    of P's. Recomputes the forward's activations from x and P."""
+    of P's (None without `param_grads`). Recomputes the forward's
+    activations from x and P."""
     g1, _, wqkv, _, wo, _, g2, _, w1, _, w2, _ = P
     _, (ln1, n1, att_acts, ln2, n2, hid) = _block_forward(x, P, heads, mask)
     # MLP and LN2; the residual adds g
-    gw2, gc2 = _flat(hid).T @ _flat(g), g.sum(axis=(0, 1))
     ghid = (g @ w2.T) * (hid > 0)
-    gw1, gc1 = _flat(n2).T @ _flat(ghid), ghid.sum(axis=(0, 1))
     gy1, gg2, gb2 = _layer_norm_backward(ghid @ w1.T, g2, *ln2)
     gy1 += g
     # attention and LN1; the residual adds gy1
-    gn1, gwqkv, gbqkv, gwo, gbo = _attention_backward(gy1, n1, wqkv, wo, att_acts, heads)
+    gn1, *gatt = _attention_backward(gy1, n1, wqkv, wo, att_acts, heads, param_grads)
     gx, gg1, gb1 = _layer_norm_backward(gn1, g1, *ln1)
     gx += gy1
-    return gx, gg1, gb1, gwqkv, gbqkv, gwo, gbo, gg2, gb2, gw1, gc1, gw2, gc2
+    if not param_grads:
+        return (gx,) + (None,) * len(P)
+    return (gx, gg1, gb1, *gatt, gg2, gb2, _flat(n2).T @ _flat(ghid), ghid.sum(axis=(0, 1)),
+            _flat(hid).T @ _flat(g), g.sum(axis=(0, 1)))
 
 
 def wmsa_forward(tokens: Tensor, params: dict, heads: int, prefix: str,
@@ -293,15 +298,17 @@ def _net_forward(x, P, cfg: ReconConfig, record):
     return (ad.conv3d_forward(h, P["conv_out.w"]) + P["conv_out.b"])[0], saved, records
 
 
-def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad):
+def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
     """Gradients of `_net_forward` for upstream g [T,H,W] from its `saved`
-    arrays: (the input's, None without `input_grad`; {name: gradient})."""
+    arrays: (the input's, None without `input_grad`; {name: gradient}, None
+    or missing without `param_grads`)."""
     pads, crop, mask = _window_geometry(x.shape, cfg.window)
     grads = {}
 
     def conv(name, g, inp, input_grad=True):
-        grads[f"{name}.b"] = ad._unbroadcast(g, P[f"{name}.b"].shape)
-        grads[f"{name}.w"] = ad.conv3d_grad_weight(g, inp, P[f"{name}.w"].shape)
+        if param_grads:
+            grads[f"{name}.b"] = ad._unbroadcast(g, P[f"{name}.b"].shape)
+            grads[f"{name}.w"] = ad.conv3d_grad_weight(g, inp, P[f"{name}.w"].shape)
         return ad.conv3d_grad_input(g, P[f"{name}.w"]) if input_grad else None
 
     gh = conv("conv_out", g[None], saved[-1])
@@ -311,7 +318,7 @@ def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad):
         xp = np.pad(h, pads)
         gwin, *gp = _block_backward(window_partition(np.pad(gy, pads), cfg.window),
                                     window_partition(xp, cfg.window),
-                                    _block_params(P, i), cfg.heads, mask)
+                                    _block_params(P, i), cfg.heads, mask, param_grads)
         grads.update((f"block{i}.{name}", gv) for name, gv in zip(BLOCK_PARAMS, gp))
         gh = window_unpartition(gwin, cfg.window, xp.shape)[crop]
     return conv("conv_in", gh, x, input_grad), grads
@@ -322,8 +329,9 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
     """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records).
 
     One graph node whose parents are the input and every parameter, in
-    sorted name order. With `record_attention` each block's softmax weights
-    come from that same forward pass.
+    sorted name order. Its backward computes the parameters' gradients only
+    if one of them requires grad. With `record_attention` each block's
+    softmax weights come from that same forward pass.
     """
     if z_regrid.shape[0] != 2:
         raise AutodiffError("expected a 2-channel (real, imag) input")
@@ -331,9 +339,12 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
     x, P = z_regrid.data, {n: params[n].data for n in names}
     out, saved, records = _net_forward(x, P, cfg, record_attention)
 
+    param_grads = any(params[n].requires_grad for n in names)
+
     def back(g):
-        gx, grads = _net_backward(g, x, P, cfg, saved, z_regrid.requires_grad)
-        return (gx,) + tuple(grads[n] for n in names)
+        gx, grads = _net_backward(g, x, P, cfg, saved, z_regrid.requires_grad,
+                                  param_grads)
+        return (gx,) + tuple(grads.get(n) for n in names)
 
     return Tensor.from_op(out, (z_regrid,) + tuple(params[n] for n in names), back), records
 

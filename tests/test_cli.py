@@ -115,6 +115,18 @@ def test_train_malformed_network_is_usage_error(tmp_path, capsys, flags):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [["--lr-net", "0"], ["--frames-k", "1"],
+                                   ["--batch", "-1"]],
+                         ids=["zero-net-learning-rate", "one-frame-window",
+                              "negative-batch"])
+def test_train_invalid_training_flag_is_usage_error(tmp_path, capsys, flags):
+    # the dataset does not exist: a usage error shows the check came first
+    rc = main(_train_args(tmp_path / "no-data", tmp_path / "out") + flags)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
 def test_refine_without_prior_run_is_usage_error(dataset, tmp_path, capsys):
     rc = main(["refine", "--run", str(tmp_path / "none"), "--data", str(dataset)])
     assert rc == 2

@@ -102,6 +102,22 @@ def test_adjoint_identity_property(data, t_frames, shots, m, h, w):
     assert abs(lhs - rhs) <= 1e-13 * np.abs(z).sum() * np.abs(x).sum()
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 6))
+def test_phase_tables_equal_the_complex_exponential(data, h, w, m):
+    """The conjugate-symmetric tables are bit-identical to exp(-i k*x)."""
+    coords = data.draw(hnp.arrays(np.float64, (2, 1, m, 2),
+                                  elements=st.floats(-np.pi, np.pi)))
+    coords[0, 0, 0] = (np.pi, -np.pi)
+    coords[1, 0, 0] = (-np.pi, np.pi)
+    xs = np.arange(h) - h // 2
+    ys = np.arange(w) - w // 2
+    ex, ey = nufft._phase_tables(coords, h, w)
+    flat = coords.reshape(2, -1, 2)
+    assert np.array_equal(ex, np.exp(-1j * (flat[..., 0, None] * xs)))
+    assert np.array_equal(ey, np.exp(-1j * (flat[..., 1, None] * ys)))
+
+
 def test_zero_samples_give_zero_image():
     coords = _random_coords(np.random.default_rng(3), (1, 2, 4))
     img = nudft_adjoint(np.zeros((1, 2, 4), dtype=np.complex128), coords, (1, 4, 4))

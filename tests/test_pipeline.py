@@ -224,6 +224,59 @@ def test_training_keeps_trajectory_feasible():
     assert all(row["max_violation"] <= 1e-6 for row in result.history)
 
 
+@pytest.mark.parametrize("learnable", [True, False], ids=["learned", "frozen"])
+def test_training_builds_phase_tables_once_per_acquisition(monkeypatch, learnable):
+    builds = []
+    build = nufft._phase_tables
+    monkeypatch.setattr(nufft, "_phase_tables",
+                        lambda *args: builds.append(args) or build(*args))
+    volumes = [gen_phantom(PhantomSpec(grid=(12, 12), frames=4, seed=s))
+               for s in range(5)]
+    tcfg = pl.TrainConfig(epochs_main=2, seed=0, batch=2, frames_k=4, val_fraction=0.4)
+    rcfg = _small_rcfg()
+    traj = init_radial(4, 2, 8)
+    traj.learnable = learnable
+    pl.train_main(volumes, tcfg, _pcfg(12), rcfg,
+                  init_recon_params(rcfg, np.random.default_rng(0)), traj)
+    # per epoch: 3 training samples in steps of 2 and 1, then 2 validation
+    # samples; a learned step builds the tables for its forward and backward
+    per_step = 2 if learnable else 1
+    assert len(builds) == tcfg.epochs_main * (2 * per_step + 1)
+
+
+def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
+    from dyncs.trajectory import kinematic_bounds
+    volumes = [gen_phantom(PhantomSpec(grid=(12, 12), frames=4, seed=s))
+               for s in range(3)]
+    tcfg = pl.TrainConfig(epochs_main=1, seed=0, batch=2, frames_k=4)
+    rcfg = _small_rcfg()
+    rng = np.random.default_rng(0)
+    params = init_recon_params(rcfg, rng)
+    # a zero output layer would give the trajectory a zero gradient
+    params["conv_out.w"].data[:] = 0.1 * rng.normal(size=params["conv_out.w"].shape)
+    traj = init_radial(4, 2, 8)
+    coords0 = pl._apply_constraints(traj.coords, kinematic_bounds(_pcfg(12)))
+    train_idx, _ = pl._split_train_val(len(volumes), tcfg.val_fraction)
+    assert len(train_idx) == tcfg.batch  # one optimizer step
+    expected = np.zeros_like(coords0)
+    for i in train_idx:
+        coords = Tensor(coords0, requires_grad=True)
+        z_hat, _ = recon_forward(pl.acquire(volumes[i], coords), rcfg, params)
+        pl.loss_main(z_hat, volumes[i]).backward()
+        expected += coords.grad
+    expected /= len(train_idx)
+    for p in params.values():
+        p.grad = None
+    grads = []
+    adam = pl.adam_step
+    monkeypatch.setattr(pl, "adam_step",
+                        lambda param, grad, state: grads.append(grad) or adam(param, grad, state))
+    pl.train_main(volumes, tcfg, _pcfg(12), rcfg, params, traj)
+    (step,) = [g for g in grads if g.shape == coords0.shape]
+    assert np.abs(expected).max() > 0.0
+    assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_refine_zero_epochs_returns_state_unchanged():
     vols = [gen_phantom(PhantomSpec(grid=(12, 12), frames=8, seed=s))
             for s in range(2)]

@@ -220,6 +220,29 @@ def test_constant_input_gives_the_same_parameter_gradients():
         assert np.array_equal(grads[0][name], grads[1][name]), name
 
 
+def test_constant_parameters_skip_their_gradients(monkeypatch):
+    rng = np.random.default_rng(22)
+    cfg = _small_cfg(n_blocks=2, window=(2, 4, 4))
+    params = _perturbed_params(cfg, rng)
+    data = rng.normal(size=(2, 3, 10, 14))
+    weight_grads = []
+    grad_weight = ad.conv3d_grad_weight
+    monkeypatch.setattr(ad, "conv3d_grad_weight",
+                        lambda *args: weight_grads.append(args) or grad_weight(*args))
+    input_grads = []
+    for requires_grad in (True, False):
+        weight_grads.clear()
+        net = {name: Tensor(p.data, requires_grad=requires_grad)
+               for name, p in params.items()}
+        x = Tensor(data, requires_grad=True)
+        out, _ = recon_forward(x, cfg, net)
+        (out * out).sum().backward()
+        assert len(weight_grads) == (2 + cfg.n_blocks if requires_grad else 0)
+        assert all((p.grad is not None) == requires_grad for p in net.values())
+        input_grads.append(x.grad)
+    assert np.array_equal(input_grads[0], input_grads[1])
+
+
 def test_pad_keys_get_no_attention():
     rng = np.random.default_rng(21)
     cfg = _small_cfg(channels=8, window=(2, 4, 4))
