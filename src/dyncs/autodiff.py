@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is deliberately small and closed: add/sub/mul, basic slicing,
-concat, sum/mean, abs/relu and conv3d. Custom nodes (the acquisition
-`nufft.acquire`, the network `recon.recon_forward`) attach their own backward
-closures via ``Tensor.from_op``; the network's convolutions use conv3d's numpy
-helpers. Everything is float64; NaN or Inf entering any op is an error.
+A graph node is a `Tensor` built by ``Tensor.from_op`` with a hand-written
+backward closure: the acquisition `nufft.acquire`, the network
+`recon.recon_forward`, and `conv3d`, whose numpy helpers the network's
+convolutions call. The losses are not nodes: `pipeline.loss_main` and
+`pipeline.loss_refine` return their gradient in closed form, and `backward`
+starts from a node seeded with it. Everything is float64; NaN or Inf entering
+any node is an error.
 """
 
 from __future__ import annotations
@@ -23,16 +25,6 @@ def _check_finite(arr, what):
         raise AutodiffError(f"non-finite values in {what}")
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
     """A dense float64 tensor node in the computation graph."""
 
@@ -46,8 +38,6 @@ class Tensor:
         self._prev = ()
         self._backward = None
         self._done = False
-
-    # -- graph plumbing ----------------------------------------------------
 
     @staticmethod
     def from_op(data, parents, backward):
@@ -66,13 +56,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
     def _accumulate(self, grad):
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape != self.data.shape:
@@ -85,95 +68,6 @@ class Tensor:
 
     def backward(self, seed=None):
         backward(self, seed)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=np.float64))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Tensor.from_op(
-            self.data + other.data, (self, other),
-            lambda g: (_unbroadcast(g, self.data.shape),
-                       _unbroadcast(g, other.data.shape)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Tensor.from_op(
-            self.data - other.data, (self, other),
-            lambda g: (_unbroadcast(g, self.data.shape),
-                       _unbroadcast(-g, other.data.shape)))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Tensor.from_op(
-            self.data * other.data, (self, other),
-            lambda g: (_unbroadcast(g * other.data, self.data.shape),
-                       _unbroadcast(g * self.data, other.data.shape)))
-
-    __rmul__ = __mul__
-
-    # -- indexing ----------------------------------------------------------
-
-    def __getitem__(self, idx):
-        # basic indices select distinct entries, so the backward assigns g
-        parts = idx if isinstance(idx, tuple) else (idx,)
-        if any(isinstance(p, bool) or not isinstance(
-                p, (int, np.integer, slice, type(None), type(Ellipsis))) for p in parts):
-            raise AutodiffError(f"only basic indices are supported, got {idx!r}")
-
-        def back(g):
-            full = np.zeros_like(self.data)
-            full[idx] = g
-            return (full,)
-
-        return Tensor.from_op(self.data[idx], (self,), back)
-
-    # -- reductions --------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def back(g):
-            g = np.asarray(g, dtype=np.float64)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, self.data.shape).copy(),)
-
-        return Tensor.from_op(data, (self,), back)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    # -- nonlinearities ----------------------------------------------------
-
-    def abs(self):
-        return Tensor.from_op(np.abs(self.data), (self,),
-                              lambda g: (g * np.sign(self.data),))
-
-    def relu(self):
-        mask = self.data > 0
-        return Tensor.from_op(self.data * mask, (self,), lambda g: (g * mask,))
-
-
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor.from_op(data, tuple(tensors), back)
 
 
 def _columns(x, k):

@@ -108,6 +108,8 @@ def _recon_config(args):
 
 def _train_config(args):
     """The training stage of the train flags; an invalid one is a usage error."""
+    if args.epochs < 1:
+        raise UsageError("--epochs must be at least 1")
     try:
         return pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
                               lr_net=args.lr_net, batch=args.batch, seed=args.seed,
@@ -187,6 +189,10 @@ def _load_run(run_dir, refined):
 def cmd_refine(args):
     run_dir = Path(args.run)
     manifest, rcfg, params, trajectory = _load_run(run_dir, refined=False)
+    if args.epochs_refine > 0 and args.freeze_theta and (
+            args.lr_traj_refine == 0 or not trajectory.learnable):
+        raise UsageError("--freeze-theta with a frozen trajectory leaves nothing to "
+                         "refine (--lr-traj-refine 0 or a run without a learned trajectory)")
 
     cfg = manifest["config"]
     k = cfg["frames_k"]

@@ -7,7 +7,9 @@ serves main training, refinement, validation and stacked evaluation alike:
 `_acquire_windows` acquires every k-frame window of a list of sequences with
 the k-frame trajectory in one `acquire` call, and `_reconstruct` runs the
 network on each window of one sequence. An optimizer step acquires its whole
-mini-batch at once but differentiates the network one sample at a time.
+mini-batch at once but differentiates the network one sample at a time. The
+losses take numpy arrays and return their value and gradient in closed form;
+the gradient's k-frame slices seed the backward of each window's network node.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import metrics as qm
 from .autodiff import AdamState, AutodiffError, Tensor, adam_step
 from .data import partition_frames
@@ -82,12 +83,13 @@ class TrainResult:
 
 # -- core operators -----------------------------------------------------------
 
-def loss_main(z_hat: Tensor, z) -> Tensor:
+def loss_main(z_hat, z):
+    """The MSE of the reconstruction z_hat against z: (value, dL/dz_hat)."""
     z = np.asarray(z, dtype=np.float64)
     if z_hat.shape != z.shape:
         raise AutodiffError(f"loss shape mismatch: {z_hat.shape} vs {z.shape}")
-    diff = z_hat - Tensor(z)
-    return (diff * diff).mean()
+    diff = z_hat - z
+    return float((diff * diff).sum() * (1.0 / diff.size)), diff * (2.0 / diff.size)
 
 
 def mean_temporal_derivative(x, mode="abs"):
@@ -102,13 +104,6 @@ def mean_temporal_derivative(x, mode="abs"):
     return np.abs(mu) if mode == "abs" else mu
 
 
-def _mu_graph(x: Tensor, mode):
-    """Graph version of mean_temporal_derivative on [T,H,W] tensors."""
-    t = x.shape[0]
-    mu = (x[1:t] - x[0:t - 1]).mean(axis=(1, 2))
-    return mu.abs() if mode == "abs" else mu
-
-
 def dataset_mu(volumes, mode="abs") -> MuStats:
     """Average of the per-sample mean of mu entries over the training set."""
     if not volumes:
@@ -117,13 +112,28 @@ def dataset_mu(volumes, mode="abs") -> MuStats:
     return MuStats(mu_x=float(np.mean(per_sample)))
 
 
-def loss_refine(z_hat_stacked: Tensor, z, stats: MuStats, lambda_ref,
-                mode="abs") -> Tensor:
-    """MSE plus the hinge penalty on transitions exceeding the dataset mu_X."""
-    base = loss_main(z_hat_stacked, z)
-    mu = _mu_graph(z_hat_stacked, mode)
-    hinge = (mu - Tensor(np.full(mu.shape, stats.mu_x))).relu().sum()
-    return base + hinge * float(lambda_ref)
+def loss_refine(z_hat, z, stats: MuStats, lambda_ref, mode="abs"):
+    """MSE plus lambda_ref times the hinge on the transitions whose mean
+    temporal derivative mu exceeds the dataset mu_X: (value, dL/dz_hat).
+
+    The hinge's gradient in mu is lambda_ref on each exceeding transition
+    (times sign(mu) in "abs" mode), and mu_t is the spatial mean of
+    z_hat[t+1] - z_hat[t], so it adds that over H*W to frame t+1 and takes
+    it from frame t.
+    """
+    base, grad = loss_main(z_hat, z)
+    scale = 1.0 / (z_hat.shape[1] * z_hat.shape[2])
+    delta = (z_hat[1:] - z_hat[:-1]).sum(axis=(1, 2)) * scale
+    mu = np.abs(delta) if mode == "abs" else delta
+    excess = mu - stats.mu_x
+    active = excess > 0
+    hinge = float(lambda_ref) * active
+    if mode == "abs":
+        hinge = hinge * np.sign(delta)
+    hinge = (hinge * scale)[:, None, None]
+    grad[1:] += hinge
+    grad[:-1] -= hinge
+    return float(base + (excess * active).sum() * float(lambda_ref)), grad
 
 
 def _acquire_windows(seqs, coords_t):
@@ -138,11 +148,11 @@ def _acquire_windows(seqs, coords_t):
     return acquire(np.stack([u for w in windows for u in w]), coords_t), spans
 
 
-def _reconstruct(regrid, net, rcfg):
-    """Reconstruct each regridded window of one sequence, regrid
-    [n_windows, 2,k,H,W], and concatenate them: [n_windows*k, H,W]."""
-    return ad.concat(recon_forward(regrid[i], rcfg, net)[0]
-                     for i in range(regrid.shape[0]))
+def _reconstruct(windows, net, rcfg):
+    """Reconstruct each regridded window Tensor [2,k,H,W] of one sequence:
+    (the windows' network nodes, their outputs concatenated [n_windows*k, H,W])."""
+    nodes = [recon_forward(w, rcfg, net)[0] for w in windows]
+    return nodes, np.concatenate([node.data for node in nodes])
 
 
 def _constants(params):
@@ -178,17 +188,18 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
          seed, lr_net, lr_traj) -> TrainResult:
     """Adam on the network parameters (held fixed when `lr_net` is None) and
     on the trajectory coords, which are re-projected onto the feasible set
-    after every update. `loss_fn(z_hat, z)` is the per-sample loss of the
-    reconstruction `z_hat` of the sample z. The validation loss is its mean
-    over the held-out samples on frozen coords and constant parameters.
-    History records one row per epoch. Deterministic given `seed`.
+    after every update. `loss_fn(z_hat, z)` returns the per-sample loss of
+    the reconstruction array `z_hat` of the sample z and its gradient in
+    `z_hat`. The validation loss is its mean over the held-out samples on
+    frozen coords and constant parameters. History records one row per
+    epoch. Deterministic given `seed`.
 
     A step acquires its mini-batch in one `acquire` call. Each sample then
-    reconstructs from a leaf over its slice of the regridded windows and
-    runs its own backward, so only one sample's network graph is alive at a
-    time and the parameter gradients accumulate in sample order. One
-    backward of the acquisition under the leaves' gradients then gives the
-    coordinate gradient.
+    reconstructs every window from its own leaf, and each window node's
+    backward is seeded with its frames of the loss gradient, so only one
+    sample's network graph is alive at a time and the parameter gradients
+    accumulate in sample and window order. One backward of the acquisition
+    under the leaves' gradients then gives the coordinate gradient.
     """
     rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
@@ -202,6 +213,9 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
     net = params if net_states is not None else _constants(params)
     traj_state = AdamState.init(coords.shape, lr_traj) if (
         trajectory.learnable and lr_traj > 0) else None
+    if epochs > 0 and net_states is None and traj_state is None:
+        raise AutodiffError(f"nothing to train in the {stage} stage: the network "
+                            "and the trajectory are both frozen")
 
     history = []
     for epoch in range(epochs):
@@ -215,18 +229,21 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
             for name in sorted(params):
                 params[name].grad = None
             regrid, spans = _acquire_windows([volumes[i] for i in batch], coords_t)
-            leaf_grads = []
+            leaves = []
             for i, span in zip(batch, spans):
-                leaf = Tensor(regrid.data[span], requires_grad=regrid.requires_grad)
-                loss = loss_fn(_reconstruct(leaf, net, rcfg), volumes[i])
-                if not np.isfinite(loss.item()):
+                windows = [Tensor(w, requires_grad=regrid.requires_grad)
+                           for w in regrid.data[span]]
+                nodes, z_hat = _reconstruct(windows, net, rcfg)
+                loss, grad = loss_fn(z_hat, volumes[i])
+                if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"loss became non-finite during {stage} epoch {epoch}")
-                epoch_losses.append(loss.item())
-                loss.backward()
-                leaf_grads.append(leaf.grad)
+                epoch_losses.append(loss)
+                for node, g in zip(nodes, np.split(grad, len(nodes))):
+                    node.backward(g)
+                leaves += windows
             if regrid.requires_grad:
-                regrid.backward(np.concatenate(leaf_grads))
+                regrid.backward(np.stack([leaf.grad for leaf in leaves]))
             scale = 1.0 / len(batch)
             if net_states is not None:
                 for name in sorted(params):
@@ -245,7 +262,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
             val = [volumes[i] for i in val_idx]
             regrid, spans = _acquire_windows(val, Tensor(coords))
             constants = _constants(params)
-            vals = [loss_fn(_reconstruct(regrid[span], constants, rcfg), z).item()
+            vals = [loss_fn(_reconstruct(map(Tensor, regrid.data[span]), constants,
+                                         rcfg)[1], z)[0]
                     for z, span in zip(val, spans)]
         history.append({"epoch": epoch, "stage": stage,
                         "train_loss": float(np.mean(epoch_losses)),
@@ -306,7 +324,7 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     if trajectory.n_frames != k:
         raise AutodiffError("trajectory frame count must equal k")
     regrid, _ = _acquire_windows([z_long], Tensor(trajectory.coords))
-    recon = _reconstruct(regrid, _constants(params), rcfg).data[:t_total]
+    recon = _reconstruct(map(Tensor, regrid.data), _constants(params), rcfg)[1][:t_total]
     mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))
     return EvalResult(reconstruction=recon, mu=mu, metrics=report)

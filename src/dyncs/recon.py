@@ -200,21 +200,6 @@ def _block_backward(g, x, P, heads, mask=None, param_grads=True):
             _flat(hid).T @ _flat(g), g.sum(axis=(0, 1)))
 
 
-def wmsa_forward(tokens: Tensor, params: dict, heads: int, prefix: str,
-                 record: bool = False):
-    """Multi-head self-attention within each window, as constant values
-    (training differentiates it inside the `recon_forward` node).
-
-    tokens: [n_windows, N, C]. Returns (output [n_windows, N, C], softmax
-    weights [n_windows, heads, N, N] if `record` else None).
-    """
-    if tokens.shape[-1] % heads:
-        raise AutodiffError("channel dim not divisible by heads")
-    out, acts = _attention(tokens.data, *(params[f"{prefix}.{name}"].data
-                                          for name in ("wqkv", "bqkv", "wo", "bo")), heads)
-    return Tensor(out), (acts[3] if record else None)
-
-
 def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
     """Scaled-normal initialization; biases start at zero."""
     c = cfg.channels
@@ -307,7 +292,9 @@ def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
 
     def conv(name, g, inp, input_grad=True):
         if param_grads:
-            grads[f"{name}.b"] = ad._unbroadcast(g, P[f"{name}.b"].shape)
+            # one axis at a time: summing over (1, 2, 3) at once rounds differently
+            grads[f"{name}.b"] = (g.sum(axis=1, keepdims=True).sum(axis=2, keepdims=True)
+                                  .sum(axis=3, keepdims=True))
             grads[f"{name}.w"] = ad.conv3d_grad_weight(g, inp, P[f"{name}.w"].shape)
         return ad.conv3d_grad_input(g, P[f"{name}.w"]) if input_grad else None
 

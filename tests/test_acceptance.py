@@ -17,8 +17,8 @@ from dyncs.cli import main as cli_main
 from dyncs.data import PhantomSpec, gen_phantom
 from dyncs.metrics import fsim, psnr, transition_report, vif_p
 from dyncs.nufft import cartesian_grid_coords, nudft_adjoint, nudft_forward
-from dyncs.recon import (ReconConfig, export_attention, init_recon_params,
-                         recon_forward, wmsa_forward)
+from dyncs.recon import (ReconConfig, _attention, export_attention,
+                         init_recon_params, recon_forward)
 from dyncs.trajectory import (PhysicsConfig, Trajectory, feasibility_report,
                               init_radial, kinematic_bounds, project_kinematic)
 
@@ -164,15 +164,19 @@ def test_02_end_to_end_differentiability(capsys):
         size=params["conv_out.w"].shape)
     coords0 = init_radial(2, 2, 6, span=0.7 * np.pi).coords
 
-    def loss_of_coords(c):
-        regrid = pl.acquire(z, c)
-        z_hat, _ = recon_forward(regrid, rcfg, params)
-        return pl.loss_main(z_hat, z)
+    def loss_and_grad(coords, probe):
+        """The MSE and its gradient in the Tensor `probe`."""
+        z_hat, _ = recon_forward(pl.acquire(z, coords), rcfg, params)
+        loss, grad = pl.loss_main(z_hat.data, z)
+        z_hat.backward(grad)
+        return loss, probe.grad
 
-    probe = Tensor(coords0.copy(), requires_grad=True)
-    loss_of_coords(probe).backward()
-    nonvanishing = float(np.abs(probe.grad).max()) > 0.0
-    coord_err = grad_check(loss_of_coords, Tensor(coords0), h=1e-5)
+    def loss_of_coords(c):
+        probe = Tensor(c, requires_grad=True)
+        return loss_and_grad(probe, probe)
+
+    nonvanishing = float(np.abs(loss_of_coords(coords0.copy())[1]).max()) > 0.0
+    coord_err = grad_check(loss_of_coords, coords0, h=1e-5)
 
     frozen = Tensor(coords0)
     param_errs = []
@@ -180,16 +184,13 @@ def test_02_end_to_end_differentiability(capsys):
         original = params[name]
 
         def loss_of_param(p, name=name, original=original):
-            params[name] = p
+            params[name] = probe = Tensor(p, requires_grad=True)
             try:
-                regrid = pl.acquire(z, frozen)
-                z_hat, _ = recon_forward(regrid, rcfg, params)
-                return pl.loss_main(z_hat, z)
+                return loss_and_grad(frozen, probe)
             finally:
                 params[name] = original
 
-        param_errs.append(grad_check(
-            loss_of_param, Tensor(original.data.copy()), h=1e-5))
+        param_errs.append(grad_check(loss_of_param, original.data.copy(), h=1e-5))
 
     elapsed = time.monotonic() - t0
     worst = max([coord_err] + param_errs)
@@ -317,19 +318,16 @@ def test_09_attention_contracts(capsys, tmp_path):
     weights = records[0].weights
     row_err = float(np.max(np.abs(weights.sum(axis=-1) - 1.0)))
 
-    attn_params = {
-        "w.wqkv": Tensor(rng.normal(size=(4, 12))),
-        "w.bqkv": Tensor(np.zeros(12)),
-        "w.wo": Tensor(rng.normal(size=(4, 4))),
-        "w.bo": Tensor(np.zeros(4)),
-    }
+    wqkv = rng.normal(size=(4, 12))
+    wo = rng.normal(size=(4, 4))
+    attn_params = (wqkv, np.zeros(12), wo, np.zeros(4))
     tokens = rng.normal(size=(3, 4, 4))
-    out, _ = wmsa_forward(Tensor(tokens), attn_params, heads=2, prefix="w")
+    out, _ = _attention(tokens, *attn_params, heads=2)
     poked = tokens.copy()
     poked[1] = 0.0
-    out_poked, _ = wmsa_forward(Tensor(poked), attn_params, heads=2, prefix="w")
-    no_leakage = (np.array_equal(out.data[0], out_poked.data[0])
-                  and np.array_equal(out.data[2], out_poked.data[2]))
+    out_poked, _ = _attention(poked, *attn_params, heads=2)
+    no_leakage = (np.array_equal(out[0], out_poked[0])
+                  and np.array_equal(out[2], out_poked[2]))
 
     geometry = export_attention(records[0], (0, 0, 0, 16), tmp_path / "attn")
     ok = row_err < 1e-9 and no_leakage and geometry["n_maps"] == 16

@@ -116,9 +116,9 @@ def test_train_malformed_network_is_usage_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--lr-net", "0"], ["--frames-k", "1"],
-                                   ["--batch", "-1"]],
+                                   ["--batch", "-1"], ["--epochs", "0"]],
                          ids=["zero-net-learning-rate", "one-frame-window",
-                              "negative-batch"])
+                              "negative-batch", "zero-epochs"])
 def test_train_invalid_training_flag_is_usage_error(tmp_path, capsys, flags):
     # the dataset does not exist: a usage error shows the check came first
     rc = main(_train_args(tmp_path / "no-data", tmp_path / "out") + flags)
@@ -131,6 +131,23 @@ def test_refine_without_prior_run_is_usage_error(dataset, tmp_path, capsys):
     rc = main(["refine", "--run", str(tmp_path / "none"), "--data", str(dataset)])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("frozen", ["zero-trajectory-learning-rate", "fixed-trajectory-run"])
+def test_refine_with_nothing_to_train_is_usage_error(run_dir, tmp_path, capsys, frozen):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    flags = ["--epochs-refine", "1", "--freeze-theta"]
+    if frozen == "zero-trajectory-learning-rate":
+        flags += ["--lr-traj-refine", "0"]
+    else:
+        meta = json.loads((run / "traj.json").read_text())
+        (run / "traj.json").write_text(json.dumps({**meta, "learnable": False}))
+    # the dataset does not exist: a usage error shows the check came first
+    rc = main(["refine", "--run", str(run), "--data", str(tmp_path / "no-data")] + flags)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (run / "checkpoint_refined.json").exists()
 
 
 def test_refine_appends_history_and_writes_artifacts(dataset, run_dir, tmp_path):

@@ -3,6 +3,8 @@ both training stages and stacked evaluation."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dyncs import nufft
 from dyncs import pipeline as pl
@@ -55,24 +57,24 @@ def test_acquire_matches_composed_operator_oracle():
 
 def test_loss_main_zero_on_equal_inputs():
     z = np.random.default_rng(2).random((2, 4, 4))
-    assert pl.loss_main(Tensor(z), z).item() == pytest.approx(0.0, abs=1e-15)
+    assert pl.loss_main(z, z)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_main_unit_offset_is_one():
     z = np.random.default_rng(3).random((2, 4, 4))
-    assert pl.loss_main(Tensor(z + 1.0), z).item() == pytest.approx(1.0, abs=1e-12)
+    assert pl.loss_main(z + 1.0, z)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_loss_main_matches_direct_mse():
     rng = np.random.default_rng(4)
     a, b = rng.random((3, 4, 4)), rng.random((3, 4, 4))
-    assert pl.loss_main(Tensor(a), b).item() == pytest.approx(
+    assert pl.loss_main(a, b)[0] == pytest.approx(
         float(np.mean((a - b) ** 2)), abs=1e-15)
 
 
 def test_loss_main_shape_mismatch_rejected():
     with pytest.raises(AutodiffError):
-        pl.loss_main(Tensor(np.zeros((2, 4, 4))), np.zeros((2, 4, 5)))
+        pl.loss_main(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
 
 
 # -- mu statistics -----------------------------------------------------------------
@@ -130,17 +132,17 @@ def test_dataset_mu_rejects_empty():
 def test_loss_refine_reduces_to_mse_when_lambda_zero():
     rng = np.random.default_rng(7)
     z = rng.random((4, 3, 3))
-    z_hat = Tensor(rng.random((4, 3, 3)))
+    z_hat = rng.random((4, 3, 3))
     stats = pl.MuStats(mu_x=0.0)
-    assert pl.loss_refine(z_hat, z, stats, 0.0).item() == pytest.approx(
-        pl.loss_main(Tensor(z_hat.data), z).item(), abs=1e-15)
+    assert pl.loss_refine(z_hat, z, stats, 0.0)[0] == pytest.approx(
+        pl.loss_main(z_hat, z)[0], abs=1e-15)
 
 
 def test_loss_refine_hinge_inactive_below_threshold():
     z = np.zeros((4, 3, 3))
-    z_hat = Tensor(np.full((4, 3, 3), 0.2))  # constant video: mu = 0
+    z_hat = np.full((4, 3, 3), 0.2)  # constant video: mu = 0
     stats = pl.MuStats(mu_x=0.5)
-    assert pl.loss_refine(z_hat, z, stats, 5.0).item() == pytest.approx(
+    assert pl.loss_refine(z_hat, z, stats, 5.0)[0] == pytest.approx(
         0.04, abs=1e-12)
 
 
@@ -151,7 +153,7 @@ def test_loss_refine_penalizes_single_jump_by_hand():
     z_hat_data[2:] = jump  # one transition of size `jump`
     stats = pl.MuStats(mu_x=0.3)
     lam = 5.0
-    loss = pl.loss_refine(Tensor(z_hat_data), z, stats, lam).item()
+    loss = pl.loss_refine(z_hat_data, z, stats, lam)[0]
     expected = float(np.mean(z_hat_data ** 2)) + lam * (jump - stats.mu_x)
     assert loss == pytest.approx(expected, abs=1e-12)
 
@@ -161,8 +163,8 @@ def test_loss_refine_never_below_loss_main():
     z = rng.random((4, 3, 3))
     z_hat = rng.random((4, 3, 3))
     stats = pl.MuStats(mu_x=0.01)
-    refine = pl.loss_refine(Tensor(z_hat), z, stats, 5.0).item()
-    main = pl.loss_main(Tensor(z_hat), z).item()
+    refine = pl.loss_refine(z_hat, z, stats, 5.0)[0]
+    main = pl.loss_main(z_hat, z)[0]
     assert refine >= main
 
 
@@ -172,10 +174,33 @@ def test_mu_gradients_flow_through_hinge():
     stats = pl.MuStats(mu_x=0.0)
     x0 = rng.random((3, 2, 2)) + 0.5
 
-    def f(t):
-        return pl.loss_refine(t, z, stats, 2.0)
+    assert grad_check(lambda t: pl.loss_refine(t, z, stats, 2.0), x0) < 1e-5
 
-    assert grad_check(f, Tensor(x0)) < 1e-5
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(2, 5), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(["abs", "signed"]))
+def test_closed_form_loss_gradients_match_central_differences(data, t, h, w, mode):
+    """Both losses against central differences, on non-square frames (H*W
+    often not a power of two), with mu_X drawn between the transitions' mu
+    so that the hinge is active on some and no probe crosses its kink."""
+    if h == w:
+        w += 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.random((t, h, w))
+    x0 = rng.random((t, h, w)) + np.arange(t)[:, None, None] * rng.normal(scale=0.3)
+    mu = pl.mean_temporal_derivative(x0, mode)
+    cuts = np.concatenate([[mu.min() - 0.1], np.sort(mu), [mu.max() + 0.1]])
+    cut = data.draw(st.integers(0, t - 1))
+    stats = pl.MuStats(mu_x=float(cuts[cut] + cuts[cut + 1]) / 2)
+    assume(np.min(np.abs(mu - stats.mu_x)) > 1e-3)
+    lam = data.draw(st.floats(0.1, 10.0))
+
+    assert grad_check(lambda x: pl.loss_main(x, z), x0) < 1e-6
+    assert grad_check(lambda x: pl.loss_refine(x, z, stats, lam, mode), x0) < 1e-6
+    value, grad = pl.loss_refine(x0, z, stats, 0.0, mode)
+    main_value, main_grad = pl.loss_main(x0, z)
+    assert value == main_value and np.array_equal(grad, main_grad)
 
 
 # -- training ---------------------------------------------------------------------
@@ -262,7 +287,7 @@ def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
     for i in train_idx:
         coords = Tensor(coords0, requires_grad=True)
         z_hat, _ = recon_forward(pl.acquire(volumes[i], coords), rcfg, params)
-        pl.loss_main(z_hat, volumes[i]).backward()
+        z_hat.backward(pl.loss_main(z_hat.data, volumes[i])[1])
         expected += coords.grad
     expected /= len(train_idx)
     for p in params.values():
@@ -298,6 +323,17 @@ def test_refine_rejects_wrong_frame_count():
     rcfg = _small_rcfg()
     params = init_recon_params(rcfg, np.random.default_rng(0))
     with pytest.raises(AutodiffError):
+        pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.1), _pcfg(12), rcfg,
+                        params, init_radial(4, 2, 8))
+
+
+def test_refine_with_nothing_to_train_is_rejected():
+    vols = [np.zeros((8, 12, 12))] * 2
+    tcfg = pl.TrainConfig(epochs_refine=1, frames_k=4, lr_traj_refine=0.0,
+                          freeze_theta_refine=True)
+    rcfg = _small_rcfg()
+    params = init_recon_params(rcfg, np.random.default_rng(0))
+    with pytest.raises(AutodiffError, match="nothing to train"):
         pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.1), _pcfg(12), rcfg,
                         params, init_radial(4, 2, 8))
 
@@ -361,8 +397,8 @@ def test_refine_validation_matches_stacked_eval():
     for i in val_idx:
         recon = pl.evaluate_stacked(result.trajectory, result.params, rcfg,
                                     vols[i], 4).reconstruction
-        losses.append(pl.loss_refine(Tensor(recon), vols[i], stats,
-                                     tcfg.lambda_ref, mode=tcfg.mu_mode).item())
+        losses.append(pl.loss_refine(recon, vols[i], stats,
+                                     tcfg.lambda_ref, mode=tcfg.mu_mode)[0])
     assert result.history[-1]["val_loss"] == pytest.approx(np.mean(losses),
                                                            rel=1e-12)
 
@@ -439,11 +475,11 @@ def test_end_to_end_coordinate_gradients_match_finite_differences():
     coords0 = init_radial(2, 2, 6, span=0.7 * np.pi).coords
 
     def f(c):
-        regrid = pl.acquire(z, c)
-        z_hat, _ = recon_forward(regrid, rcfg, params)
-        return pl.loss_main(z_hat, z)
+        probe = Tensor(c, requires_grad=True)
+        z_hat, _ = recon_forward(pl.acquire(z, probe), rcfg, params)
+        loss, grad = pl.loss_main(z_hat.data, z)
+        z_hat.backward(grad)
+        return loss, probe.grad
 
-    probe = Tensor(coords0.copy(), requires_grad=True)
-    f(probe).backward()
-    assert np.abs(probe.grad).max() > 0.0
-    assert grad_check(f, Tensor(coords0), h=1e-5) < 1e-4
+    assert np.abs(f(coords0)[1]).max() > 0.0
+    assert grad_check(f, coords0, h=1e-5) < 1e-4

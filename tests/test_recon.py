@@ -7,10 +7,11 @@ import pytest
 
 from dyncs import autodiff as ad
 from dyncs.autodiff import AutodiffError, Tensor
-from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, _block_forward,
-                         export_attention, init_recon_params, load_checkpoint,
-                         recon_forward, save_checkpoint, window_partition,
-                         window_unpartition, wmsa_forward)
+from dyncs.pipeline import loss_main
+from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, _attention,
+                         _block_forward, export_attention, init_recon_params,
+                         load_checkpoint, recon_forward, save_checkpoint,
+                         window_partition, window_unpartition)
 
 from gradcheck import grad_check
 
@@ -21,13 +22,9 @@ def _small_cfg(**kw):
     return ReconConfig(**base)
 
 
-def _attn_params(rng, c, prefix="w"):
-    return {
-        f"{prefix}.wqkv": Tensor(rng.normal(size=(c, 3 * c)), requires_grad=True),
-        f"{prefix}.bqkv": Tensor(np.zeros(3 * c), requires_grad=True),
-        f"{prefix}.wo": Tensor(rng.normal(size=(c, c)), requires_grad=True),
-        f"{prefix}.bo": Tensor(np.zeros(c), requires_grad=True),
-    }
+def _attn_params(rng, c):
+    """(wqkv, bqkv, wo, bo) of `_attention`, with zero biases."""
+    return rng.normal(size=(c, 3 * c)), np.zeros(3 * c), rng.normal(size=(c, c)), np.zeros(c)
 
 
 # -- window partition -------------------------------------------------------------
@@ -62,23 +59,22 @@ def test_single_token_window_attention_weight_is_one():
     rng = np.random.default_rng(2)
     c = 4
     params = _attn_params(rng, c)
-    tokens = Tensor(rng.normal(size=(3, 1, c)))
-    out, weights = wmsa_forward(tokens, params, heads=2, prefix="w", record=True)
-    np.testing.assert_allclose(weights, 1.0, atol=1e-12)
+    tokens = rng.normal(size=(3, 1, c))
+    out, acts = _attention(tokens, *params, heads=2)
+    np.testing.assert_allclose(acts[3], 1.0, atol=1e-12)
     # with a single token the output is the projected V row of that token
-    qkv = tokens.data @ params["w.wqkv"].data
-    v = qkv[:, :, 2 * c:]
-    expected = v @ params["w.wo"].data + params["w.bo"].data
-    np.testing.assert_allclose(out.data, expected, atol=1e-12)
+    wqkv, _, wo, bo = params
+    v = (tokens @ wqkv)[:, :, 2 * c:]
+    np.testing.assert_allclose(out, v @ wo + bo, atol=1e-12)
 
 
 def test_identical_tokens_give_uniform_attention():
     rng = np.random.default_rng(3)
     c, n = 4, 6
     params = _attn_params(rng, c)
-    tokens = Tensor(np.broadcast_to(rng.normal(size=(1, 1, c)), (2, n, c)).copy())
-    _, weights = wmsa_forward(tokens, params, heads=2, prefix="w", record=True)
-    np.testing.assert_allclose(weights, 1.0 / n, atol=1e-12)
+    tokens = np.broadcast_to(rng.normal(size=(1, 1, c)), (2, n, c)).copy()
+    _, acts = _attention(tokens, *params, heads=2)
+    np.testing.assert_allclose(acts[3], 1.0 / n, atol=1e-12)
 
 
 def test_two_token_window_matches_hand_computed_softmax():
@@ -86,16 +82,15 @@ def test_two_token_window_matches_hand_computed_softmax():
     c = 2
     params = _attn_params(rng, c)
     tokens = rng.normal(size=(1, 2, c))
-    out, weights = wmsa_forward(Tensor(tokens), params, heads=1, prefix="w",
-                                record=True)
-    qkv = tokens @ params["w.wqkv"].data
+    out, acts = _attention(tokens, *params, heads=1)
+    wqkv, _, wo, bo = params
+    qkv = tokens @ wqkv
     q, k, v = qkv[0, :, :c], qkv[0, :, c:2 * c], qkv[0, :, 2 * c:]
     logits = q @ k.T / np.sqrt(c)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    np.testing.assert_allclose(weights[0, 0], attn, atol=1e-12)
-    expected = attn @ v @ params["w.wo"].data + params["w.bo"].data
-    np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+    np.testing.assert_allclose(acts[3][0, 0], attn, atol=1e-12)
+    np.testing.assert_allclose(out[0], attn @ v @ wo + bo, atol=1e-12)
 
 
 def test_attention_rows_sum_to_one():
@@ -114,10 +109,10 @@ def test_token_permutation_within_window_permutes_output():
     c, n = 4, 8
     params = _attn_params(rng, c)
     tokens = rng.normal(size=(2, n, c))
-    out, _ = wmsa_forward(Tensor(tokens), params, heads=2, prefix="w")
+    out, _ = _attention(tokens, *params, heads=2)
     perm = rng.permutation(n)
-    out_p, _ = wmsa_forward(Tensor(tokens[:, perm]), params, heads=2, prefix="w")
-    np.testing.assert_allclose(out_p.data, out.data[:, perm], atol=1e-12)
+    out_p, _ = _attention(tokens[:, perm], *params, heads=2)
+    np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
 
 def test_no_cross_window_leakage():
@@ -125,12 +120,12 @@ def test_no_cross_window_leakage():
     c, n = 4, 4
     params = _attn_params(rng, c)
     tokens = rng.normal(size=(3, n, c))
-    out, _ = wmsa_forward(Tensor(tokens), params, heads=2, prefix="w")
+    out, _ = _attention(tokens, *params, heads=2)
     zeroed = tokens.copy()
     zeroed[1] = 0.0
-    out_z, _ = wmsa_forward(Tensor(zeroed), params, heads=2, prefix="w")
-    assert np.array_equal(out.data[0], out_z.data[0])
-    assert np.array_equal(out.data[2], out_z.data[2])
+    out_z, _ = _attention(zeroed, *params, heads=2)
+    assert np.array_equal(out[0], out_z[0])
+    assert np.array_equal(out[2], out_z[2])
 
 
 # -- full network --------------------------------------------------------------------
@@ -180,26 +175,33 @@ def test_parameter_gradients_match_finite_differences():
     cfg = _small_cfg(n_blocks=2, window=(2, 4, 4))
     params = _perturbed_params(cfg, rng)
     # 3x6x7 pads to 4x8x8, so pad tokens pass through both blocks
-    x = Tensor(rng.normal(size=(2, 3, 6, 7)))
-    target = Tensor(rng.normal(size=(3, 6, 7)))
+    x = rng.normal(size=(2, 3, 6, 7))
+    target = rng.normal(size=(3, 6, 7))
 
-    def loss(trial, inp):
+    def loss(inp, trial):
         out, _ = recon_forward(inp, cfg, trial)
-        diff = out - target
-        return (diff * diff).mean()
+        value, grad = loss_main(out.data, target)
+        return value, grad, out
+
+    # every analytic gradient from one backward; the probes are forward only
+    probe = Tensor(x, requires_grad=True)
+    *_, grad, out = loss(probe, params)
+    out.backward(grad)
 
     c = cfg.channels
     for name, p in params.items():
+        def value(t, name=name):
+            return loss(Tensor(x), {**params, name: Tensor(t)})[0]
         if name.endswith("bqkv"):
             # the key bias shifts each softmax row by a constant, so its
             # gradient is zero up to rounding; probe the query and value biases
-            key_bias = Tensor(p.data[c:2 * c])
-            err = grad_check(lambda t: loss({**params, name: ad.concat(
-                [t[:c], key_bias, t[c:]])}, x), Tensor(np.delete(p.data, np.s_[c:2 * c])))
+            qv = np.r_[0:c, 2 * c:3 * c]
+            err = grad_check(lambda t: (value(np.concatenate([t[:c], p.data[c:2 * c], t[c:]])),
+                                        p.grad[qv]), p.data[qv])
         else:
-            err = grad_check(lambda t: loss({**params, name: t}, x), Tensor(p.data))
+            err = grad_check(lambda t: (value(t), p.grad), p.data)
         assert err < 1e-4, name
-    assert grad_check(lambda t: loss(params, t), x) < 1e-4
+    assert grad_check(lambda t: (loss(Tensor(t), params)[0], probe.grad), x) < 1e-4
 
 
 def test_constant_input_gives_the_same_parameter_gradients():
@@ -213,7 +215,7 @@ def test_constant_input_gives_the_same_parameter_gradients():
             p.grad = None
         x = Tensor(data, requires_grad=requires_grad)
         out, _ = recon_forward(x, cfg, params)
-        (out * out).sum().backward()
+        out.backward(2.0 * out.data)
         assert (x.grad is not None) == requires_grad
         grads.append({name: p.grad for name, p in params.items()})
     for name in params:
@@ -236,7 +238,7 @@ def test_constant_parameters_skip_their_gradients(monkeypatch):
                for name, p in params.items()}
         x = Tensor(data, requires_grad=True)
         out, _ = recon_forward(x, cfg, net)
-        (out * out).sum().backward()
+        out.backward(2.0 * out.data)
         assert len(weight_grads) == (2 + cfg.n_blocks if requires_grad else 0)
         assert all((p.grad is not None) == requires_grad for p in net.values())
         input_grads.append(x.grad)
@@ -311,13 +313,11 @@ def test_recon_graph_keeps_no_block_activations():
     cfg = ReconConfig()  # the CLI default, c16/b2
     params = init_recon_params(cfg, rng)
     x = Tensor(rng.normal(size=(2, 4, 32, 32)))
-    target = Tensor(rng.normal(size=(4, 32, 32)))
+    target = rng.normal(size=(4, 32, 32))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out, _ = recon_forward(x, cfg, params)
-        diff = out - target
-        loss = (diff * diff).mean()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -326,7 +326,7 @@ def test_recon_graph_keeps_no_block_activations():
     # ~2.7 MB of block inputs and conv inputs; a graph that keeps every
     # attention and MLP activation holds ~55 MB
     assert held < 20e6
-    loss.backward()
+    out.backward(loss_main(out.data, target)[1])
     assert all(p.grad is not None for p in params.values())
 
 
