@@ -1,12 +1,14 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse mode over dense float64 tensors, in graphs one node deep.
 
-A graph node is a `Tensor` built by ``Tensor.from_op`` with a hand-written
-backward closure: the acquisition `nufft.acquire`, the network
+A graph node is a `Tensor` built by ``Tensor.from_op`` over leaves, with a
+hand-written backward closure: the acquisition `nufft.acquire`, the network
 `recon.recon_forward`, and `conv3d`, whose numpy helpers the network's
-convolutions call. The losses are not nodes: `pipeline.loss_main` and
+convolutions call. To chain two nodes, a caller cuts the graph at a leaf
+holding the first node's output and seeds the first node's `backward` with
+that leaf's gradient. The losses are not nodes: `pipeline.loss_main` and
 `pipeline.loss_refine` return their gradient in closed form, and `backward`
-starts from a node seeded with it. Everything is float64; NaN or Inf entering
-any node is an error.
+starts from a node seeded with it. Everything is float64; NaN or Inf
+entering any node is an error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def _check_finite(arr, what):
 
 
 class Tensor:
-    """A dense float64 tensor node in the computation graph."""
+    """A dense float64 tensor: a leaf, or a graph node over leaves."""
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_done")
 
@@ -41,11 +43,14 @@ class Tensor:
 
     @staticmethod
     def from_op(data, parents, backward):
-        """Build a non-leaf node.
+        """Build a graph node over leaf `parents`.
 
         `backward` is called with the upstream gradient and must return one
-        gradient array (or None) per entry of `parents`.
+        gradient array (or None) per entry of `parents`. A parent that is
+        itself a node is an error, so no gradient can stop at an inner node.
         """
+        if any(p._backward is not None for p in parents):
+            raise AutodiffError("a graph node's parents must be leaves, not nodes")
         out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
         if out.requires_grad:
             out._prev = tuple(parents)
@@ -55,16 +60,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def _accumulate(self, grad):
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != self.data.shape:
-            raise AutodiffError(
-                f"gradient shape {grad.shape} != tensor shape {self.data.shape}")
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad = self.grad + grad
 
     def backward(self, seed=None):
         backward(self, seed)
@@ -118,54 +113,33 @@ def conv3d(x, w):
 
 # -- backward pass ----------------------------------------------------------
 
-def _toposort(root):
-    order, visited = [], set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._prev:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return order
-
-
 def backward(output, seed=None):
-    """Reverse-mode sweep from `output`.
-
-    The graph is consumed: a second sweep from the same output is an error.
-    Gradients accumulate into `.grad` of every requires_grad leaf, so several
-    graphs sharing leaves (e.g. batch elements) can be swept in turn.
-    """
-    if not output.requires_grad:
-        raise AutodiffError("output does not require grad")
+    """Sweep the one node `output`: call its backward closure once under
+    `seed` (ones by default) and add each gradient it returns to `.grad` of
+    its parent, if that parent requires grad. The node is consumed. Gradients
+    accumulate, so nodes sharing leaves (e.g. batch elements) can be swept in
+    turn."""
+    if output._backward is None:
+        raise AutodiffError("backward needs a graph node with a parent that requires grad")
     if output._done:
-        raise AutodiffError("graph already consumed by a previous backward pass")
+        raise AutodiffError("node already consumed by a previous backward pass")
     if seed is None:
         seed = np.ones_like(output.data)
     seed = np.asarray(seed, dtype=np.float64)
     if seed.shape != output.data.shape:
         raise AutodiffError(f"seed shape {seed.shape} != output shape {output.data.shape}")
-
-    order = _toposort(output)
-    output._accumulate(seed)
-    for node in reversed(order):
-        node._done = True
-        if node._backward is None or node.grad is None:
+    _check_finite(seed, "seed")
+    for parent, grad in zip(output._prev, output._backward(seed)):
+        if grad is None or not parent.requires_grad:
             continue
-        _check_finite(node.grad, "intermediate gradient")
-        contribs = node._backward(node.grad)
-        for parent, contrib in zip(node._prev, contribs):
-            if contrib is not None and parent.requires_grad:
-                parent._accumulate(contrib)
-        if node is not output:
-            node.grad = None  # free intermediates
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != parent.shape:
+            raise AutodiffError(f"gradient shape {grad.shape} != tensor shape {parent.shape}")
+        if parent.grad is None:
+            parent.grad = grad.copy()
+        else:
+            parent.grad = parent.grad + grad
+    output._done = True
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -118,6 +118,21 @@ def _train_config(args):
         raise UsageError(f"invalid training flags: {exc}") from exc
 
 
+def _refine_config(args, cfg):
+    """The refinement stage of the refine flags on a run trained with the
+    manifest config `cfg`; an invalid one is a usage error."""
+    try:
+        return pl.TrainConfig(epochs_refine=args.epochs_refine,
+                              lr_traj_refine=args.lr_traj_refine,
+                              lr_net_refine=args.lr_net_refine,
+                              batch=cfg["batch"], lambda_ref=args.lambda_ref,
+                              seed=cfg["seed"], frames_k=cfg["frames_k"],
+                              mu_mode="signed" if args.signed_mu else "abs",
+                              freeze_theta_refine=args.freeze_theta)
+    except AutodiffError as exc:
+        raise UsageError(f"invalid refine flags: {exc}") from exc
+
+
 # JSON value types a `--config` override may hold, by the flag's argparse type
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
@@ -189,30 +204,23 @@ def _load_run(run_dir, refined):
 def cmd_refine(args):
     run_dir = Path(args.run)
     manifest, rcfg, params, trajectory = _load_run(run_dir, refined=False)
+    tcfg = _refine_config(args, manifest["config"])
     if args.epochs_refine > 0 and args.freeze_theta and (
             args.lr_traj_refine == 0 or not trajectory.learnable):
         raise UsageError("--freeze-theta with a frozen trajectory leaves nothing to "
                          "refine (--lr-traj-refine 0 or a run without a learned trajectory)")
 
-    cfg = manifest["config"]
-    k = cfg["frames_k"]
+    k = tcfg.frames_k
     volumes = dz.load_dataset(args.data)
     if volumes[0].shape[0] < 2 * k:
         raise UsageError(f"refinement needs volumes with at least {2 * k} frames")
     grid = volumes[0].shape[1]
-    mu_mode = "signed" if args.signed_mu else "abs"
 
     samples_k = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
-    stats = pl.dataset_mu(samples_k, mode=mu_mode)
+    stats = pl.dataset_mu(samples_k, mode=tcfg.mu_mode)
     samples_2k = [u for v in volumes
                   for u in dz.partition_frames(v, 2 * k, pad=False)]
 
-    tcfg = pl.TrainConfig(epochs_refine=args.epochs_refine,
-                          lr_traj_refine=args.lr_traj_refine,
-                          lr_net_refine=args.lr_net_refine,
-                          batch=cfg["batch"], lambda_ref=args.lambda_ref,
-                          seed=cfg["seed"], frames_k=k, mu_mode=mu_mode,
-                          freeze_theta_refine=args.freeze_theta)
     pcfg = PhysicsConfig(grid=(grid, grid))
 
     result = pl.train_refine(samples_2k, tcfg, stats, pcfg, rcfg, params, trajectory)
@@ -222,7 +230,7 @@ def cmd_refine(args):
                       kinematic_bounds(pcfg))
     _write_history(run_dir / "history.csv", result.history, keep_stage="main")
     (run_dir / "mu_stats.json").write_text(json.dumps(
-        {"mu_x": stats.mu_x, "mode": mu_mode, "lambda_ref": args.lambda_ref}))
+        {"mu_x": stats.mu_x, "mode": tcfg.mu_mode, "lambda_ref": args.lambda_ref}))
     print(f"refined run in {run_dir} (mu_X = {stats.mu_x:.6g})")
 
 

@@ -27,9 +27,6 @@ from .trajectory import (PhysicsConfig, Trajectory, feasibility_report,
                          init_golden_angle, init_radial, kinematic_bounds,
                          project_kinematic)
 
-# tolerance of the kinematic projection after every trajectory update
-PROJECTION_TOL = 1e-8
-
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -54,6 +51,8 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        if self.epochs_main < 0 or self.epochs_refine < 0:
+            raise AutodiffError("epoch counts must be non-negative")
         if self.lr_net <= 0 or self.lr_traj < 0:
             raise AutodiffError("learning rates must be positive (lr_traj may be 0)")
         if self.lr_net_refine <= 0 or self.lr_traj_refine < 0:
@@ -181,7 +180,7 @@ def init_trajectory(mode, n_frames, n_shots, m):
 def _apply_constraints(coords, bounds):
     """Clip into [-pi, pi] and project onto the kinematic set."""
     clipped = np.clip(coords, -np.pi, np.pi)
-    return project_kinematic(Trajectory(clipped), bounds, tol=PROJECTION_TOL).coords
+    return project_kinematic(Trajectory(clipped), bounds).coords
 
 
 def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,

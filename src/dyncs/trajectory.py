@@ -21,6 +21,8 @@ from scipy import sparse
 GOLDEN_ANGLE = np.pi * (np.sqrt(5.0) - 1.0) / 2.0
 # Dual FISTA iterations before the kinematic projection gives up.
 MAX_ITER = 20000
+# Constraint violation the kinematic projection stops at.
+PROJECTION_TOL = 1e-8
 
 
 class TrajectoryError(ValueError):
@@ -154,7 +156,7 @@ def _batch_violation(c, b):
     return max(*_kinematic_violations(c, b), float(np.max(np.abs(c)) - np.pi))
 
 
-def _project_curves(c0, b, tol):
+def _project_curves(c0, b):
     """Approximate Euclidean projection of a batch of curves [B, m, 2] onto
         { ||D1 c||_i <= alpha, ||D2 c||_i <= beta, |c| <= pi }.
 
@@ -167,14 +169,14 @@ def _project_curves(c0, b, tol):
     block soft-thresholding on the velocity and acceleration rows and the
     Moreau identity prox(u) = u - t*clip(u/t) on the box rows. Every 25
     iterations the primal iterate is checked, and the first one feasible to
-    `tol` is returned: a feasible point near the projection, not the
+    PROJECTION_TOL is returned: a feasible point near the projection, not the
     projection itself, so the map need not be firmly non-expansive. A batch
-    already feasible to `tol` is returned unchanged.
+    already feasible to PROJECTION_TOL is returned unchanged.
     """
     bsz, m, _ = c0.shape
     if m == 1:
         return np.clip(c0, -np.pi, np.pi)
-    if _batch_violation(c0, b) <= tol:
+    if _batch_violation(c0, b) <= PROJECTION_TOL:
         return c0.copy()  # already within tolerance: fixed point, exact idempotency
     k = sparse.vstack([sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)),
                        sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 2, m)),
@@ -203,20 +205,18 @@ def _project_curves(c0, b, tol):
         q, tk = qn, tk_new
         if it % 25 == 24 or it == MAX_ITER - 1:
             c = curves(q)
-            if _batch_violation(c, b) <= tol:
+            if _batch_violation(c, b) <= PROJECTION_TOL:
                 return np.clip(c, -np.pi, np.pi)
     raise ProjectionError(_batch_violation(curves(q), b))
 
 
-def project_kinematic(k: Trajectory, b: KinematicBounds, tol=1e-8) -> Trajectory:
+def project_kinematic(k: Trajectory, b: KinematicBounds) -> Trajectory:
     """Map every shot of every frame onto the kinematically feasible set:
-    the first FISTA iterate of `_project_curves` feasible to `tol`, an
-    approximation of the Euclidean projection."""
-    if tol <= 0:
-        raise TrajectoryError("tol must be positive")
+    the first FISTA iterate of `_project_curves` feasible to PROJECTION_TOL,
+    an approximation of the Euclidean projection."""
     shape = k.coords.shape
     flat = k.coords.reshape(-1, shape[2], 2)
-    out = _project_curves(flat, b, tol).reshape(shape)
+    out = _project_curves(flat, b).reshape(shape)
     return Trajectory(out, learnable=k.learnable)
 
 

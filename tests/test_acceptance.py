@@ -165,10 +165,15 @@ def test_02_end_to_end_differentiability(capsys):
     coords0 = init_radial(2, 2, 6, span=0.7 * np.pi).coords
 
     def loss_and_grad(coords, probe):
-        """The MSE and its gradient in the Tensor `probe`."""
-        z_hat, _ = recon_forward(pl.acquire(z, coords), rcfg, params)
+        """The MSE and its gradient in the Tensor `probe`, with the graph cut
+        at a leaf between the acquisition and the network, as `_fit` cuts it."""
+        regrid = pl.acquire(z, coords)
+        leaf = Tensor(regrid.data, requires_grad=regrid.requires_grad)
+        z_hat, _ = recon_forward(leaf, rcfg, params)
         loss, grad = pl.loss_main(z_hat.data, z)
         z_hat.backward(grad)
+        if regrid.requires_grad:
+            regrid.backward(leaf.grad)
         return loss, probe.grad
 
     def loss_of_coords(c):

@@ -56,6 +56,20 @@ def test_graph_consumed_after_backward():
         out.backward()
 
 
+def test_node_over_a_node_rejected():
+    # graphs are one node deep: a chained graph fails when it is built
+    x, w = _conv_pair(np.random.default_rng(6))
+    with pytest.raises(AutodiffError, match="leaves"):
+        ad.conv3d(ad.conv3d(x, w), Tensor(np.ones((1, 3, 1, 1, 1))))
+
+
+def test_backward_on_a_leaf_rejected():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(AutodiffError):
+        x.backward()
+    assert x.grad is None
+
+
 def test_non_finite_input_rejected():
     with pytest.raises(AutodiffError):
         Tensor(np.array([1.0, np.nan]))
@@ -65,6 +79,13 @@ def test_seed_shape_mismatch_rejected():
     x, w = _conv_pair(np.random.default_rng(5))
     with pytest.raises(AutodiffError):
         ad.conv3d(x, w).backward(seed=np.ones((3, 3, 4, 5)))
+
+
+def test_non_finite_seed_rejected():
+    x, w = _conv_pair(np.random.default_rng(5))
+    with pytest.raises(AutodiffError):
+        ad.conv3d(x, w).backward(seed=np.full((3, 3, 4, 4), np.nan))
+    assert x.grad is None and w.grad is None
 
 
 # -- softmax / layer_norm values (the numpy helpers of recon's block node) -----

@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from dyncs import data as dz
 from dyncs.cli import main
 from dyncs.data import load_dataset
 
@@ -148,6 +149,26 @@ def test_refine_with_nothing_to_train_is_usage_error(run_dir, tmp_path, capsys, 
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not (run / "checkpoint_refined.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda-ref", "-1"], ["--lr-net-refine", "0"],
+                                   ["--lr-traj-refine", "-1"], ["--epochs-refine", "-1"]],
+                         ids=["negative-lambda", "zero-net-learning-rate",
+                              "negative-trajectory-learning-rate", "negative-epochs"])
+def test_refine_invalid_flag_is_usage_error(dataset, run_dir, tmp_path, capsys,
+                                            monkeypatch, flags):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    history = (run / "history.csv").read_bytes()
+    loads = []
+    monkeypatch.setattr(dz, "load_dataset",
+                        lambda path: loads.append(path) or load_dataset(path))
+    rc = main(["refine", "--run", str(run), "--data", str(dataset)] + flags)
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not loads  # rejected before the dataset loads
+    assert not list(run.glob("*_refined.*")) and not (run / "mu_stats.json").exists()
+    assert (run / "history.csv").read_bytes() == history
 
 
 def test_refine_appends_history_and_writes_artifacts(dataset, run_dir, tmp_path):

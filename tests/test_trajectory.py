@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dyncs.trajectory import (GOLDEN_ANGLE, KinematicBounds, PhysicsConfig,
-                              Trajectory, TrajectoryError, export_trajectory,
+from dyncs.trajectory import (GOLDEN_ANGLE, PROJECTION_TOL, KinematicBounds,
+                              PhysicsConfig, Trajectory, TrajectoryError, export_trajectory,
                               feasibility_report, init_golden_angle,
                               init_radial, kinematic_bounds, load_trajectory,
                               project_kinematic)
@@ -123,8 +123,8 @@ def test_projection_makes_random_curve_feasible_and_stays_close():
     b = KinematicBounds(alpha=0.1, beta=0.05)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.25, size=(1, 2, 30, 2)), axis=2),
                  -np.pi, np.pi)
-    out = project_kinematic(Trajectory(c0), b, tol=1e-6)
-    assert _violations(out.coords, b) <= 1e-6
+    out = project_kinematic(Trajectory(c0), b)
+    assert _violations(out.coords, b) <= PROJECTION_TOL
     # the projection is no farther from the input than any feasible witness
     witness = np.zeros_like(c0)  # the zero curve is trivially feasible
     assert np.linalg.norm(out.coords - c0) <= np.linalg.norm(witness - c0) + 1e-9
@@ -170,11 +170,6 @@ def test_projection_output_respects_coordinate_box():
     np.testing.assert_allclose(out.coords[0, 0, :, 1], 0.0, atol=2e-3)
 
 
-def test_projection_rejects_bad_tolerance():
-    with pytest.raises(TrajectoryError):
-        project_kinematic(init_radial(1, 1, 4), KinematicBounds(1.0, 1.0), tol=0.0)
-
-
 # -- feasibility report ----------------------------------------------------------
 
 def test_report_positive_for_wide_radial_with_tight_bound():
@@ -203,9 +198,9 @@ def test_report_nonpositive_after_projection():
     b = KinematicBounds(alpha=0.1, beta=0.05)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.2, size=(1, 2, 16, 2)), axis=2),
                  -np.pi, np.pi)
-    out = project_kinematic(Trajectory(c0), b, tol=1e-8)
+    out = project_kinematic(Trajectory(c0), b)
     vel, acc = feasibility_report(out, b)
-    assert max(vel, acc) <= 1e-8
+    assert max(vel, acc) <= PROJECTION_TOL
 
 
 # -- serialization ---------------------------------------------------------------
