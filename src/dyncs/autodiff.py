@@ -94,8 +94,7 @@ def conv3d_grad_weight(g, x, w_shape):
 def conv3d_grad_input(g, w):
     """The gradient of `conv3d_forward(x, w)` in x for upstream g: g correlated
     with the kernel flipped in space and transposed in channels."""
-    w_adj = w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(w.shape[1], -1)
-    return (w_adj @ _columns(g, w.shape[2:])).reshape((w.shape[1],) + g.shape[1:])
+    return conv3d_forward(g, w[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4))
 
 
 def conv3d(x, w):

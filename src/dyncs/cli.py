@@ -26,8 +26,8 @@ from . import metrics as qm
 from . import pipeline as pl
 from .recon import (ReconConfig, export_attention, init_recon_params,
                     load_checkpoint, recon_forward, save_checkpoint)
-from .trajectory import (PhysicsConfig, export_trajectory, kinematic_bounds,
-                         load_trajectory)
+from .trajectory import (PhysicsConfig, TrajectoryError, export_trajectory,
+                         kinematic_bounds, load_trajectory)
 
 
 class UsageError(ValueError):
@@ -79,8 +79,8 @@ def _dataset_hash(data_dir):
 def cmd_gen_data(args):
     if args.grid < 4:
         raise UsageError("--grid must be at least 4")
-    if args.count < 1 or args.frames < 1:
-        raise UsageError("--count and --frames must be positive")
+    if args.count < 1 or args.frames < 1 or not args.noise >= 0:  # NaN fails too
+        raise UsageError("--count and --frames must be positive, --noise non-negative")
     volumes = dz.gen_dataset(args.count, grid=(args.grid, args.grid),
                              frames=args.frames, seed=args.seed,
                              noise_sigma=args.noise)
@@ -156,8 +156,14 @@ def cmd_train(args, parser):
     _load_config_overrides(args, parser)
     rcfg = _recon_config(args)
     tcfg = _train_config(args)
-    volumes = dz.load_dataset(args.data)
     k = args.frames_k
+    try:
+        trajectory = pl.init_trajectory(args.traj, k, args.shots, args.points_per_shot)
+    except TrajectoryError as exc:
+        raise UsageError(f"invalid trajectory flags: {exc}") from exc
+    if args.lr_traj == 0:
+        trajectory.learnable = False
+    volumes = dz.load_dataset(args.data)
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     if not samples:
         raise UsageError(f"dataset frames < --frames-k {k}")
@@ -166,9 +172,6 @@ def cmd_train(args, parser):
     pcfg = PhysicsConfig(grid=(grid, grid))
     rng = np.random.default_rng(args.seed)
     params = init_recon_params(rcfg, rng)
-    trajectory = pl.init_trajectory(args.traj, k, args.shots, args.points_per_shot)
-    if args.lr_traj == 0:
-        trajectory.learnable = False
 
     result = pl.train_main(samples, tcfg, pcfg, rcfg, params, trajectory)
 
@@ -217,30 +220,30 @@ def cmd_refine(args):
     grid = volumes[0].shape[1]
 
     samples_k = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
-    stats = pl.dataset_mu(samples_k, mode=tcfg.mu_mode)
+    mu_x = pl.dataset_mu(samples_k, mode=tcfg.mu_mode)
     samples_2k = [u for v in volumes
                   for u in dz.partition_frames(v, 2 * k, pad=False)]
 
     pcfg = PhysicsConfig(grid=(grid, grid))
 
-    result = pl.train_refine(samples_2k, tcfg, stats, pcfg, rcfg, params, trajectory)
+    result = pl.train_refine(samples_2k, tcfg, mu_x, pcfg, rcfg, params, trajectory)
 
     save_checkpoint(run_dir / "checkpoint_refined", rcfg, result.params)
     export_trajectory(result.trajectory, run_dir / "traj_refined",
                       kinematic_bounds(pcfg))
     _write_history(run_dir / "history.csv", result.history, keep_stage="main")
     (run_dir / "mu_stats.json").write_text(json.dumps(
-        {"mu_x": stats.mu_x, "mode": tcfg.mu_mode, "lambda_ref": args.lambda_ref}))
-    print(f"refined run in {run_dir} (mu_X = {stats.mu_x:.6g})")
+        {"mu_x": mu_x, "mode": tcfg.mu_mode, "lambda_ref": args.lambda_ref}))
+    print(f"refined run in {run_dir} (mu_X = {mu_x:.6g})")
 
 
 def cmd_stack_eval(args, plain=False):
+    if not plain and args.total_frames < 1:
+        raise UsageError("--total-frames must be >= 1")
     manifest, rcfg, params, traj = _load_run(args.run, not args.use_pre_refine)
     k = manifest["config"]["frames_k"]
     volumes = dz.load_dataset(args.data)
     total = k if plain else args.total_frames
-    if total < 1:
-        raise UsageError("--total-frames must be >= 1")
 
     out_dir = Path(args.out) if args.out else Path(args.run) / f"eval_{total}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -300,7 +303,10 @@ def cmd_export(args):
     regrid = pl.acquire(z, Tensor(traj.coords))
     _, records = recon_forward(regrid, rcfg, params, record_attention=True)
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
-    geometry = export_attention(records[args.block], region, out)
+    try:
+        geometry = export_attention(records[args.block], region, out)
+    except AutodiffError as exc:
+        raise UsageError(f"invalid attention region: {exc}") from exc
     print(f"exported {geometry['n_maps']} attention maps to {out}.csv")
 
 

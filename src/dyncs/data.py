@@ -32,7 +32,7 @@ class PhantomSpec:
     def __post_init__(self):
         if min(self.grid) < 4 or self.frames < 1 or self.n_ellipses < 1:
             raise DataError("invalid phantom spec")
-        if self.amp_range[0] < 0 or self.freq_range[0] <= 0 or self.noise_sigma < 0:
+        if self.amp_range[0] < 0 or self.freq_range[0] <= 0 or not self.noise_sigma >= 0:
             raise DataError("ranges must be positive")
 
 

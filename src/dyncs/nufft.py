@@ -8,7 +8,8 @@ over frames; no state is kept between calls. A table takes cos and sin only
 at x <= 0 and fills x > 0 by conjugation. `acquire` also takes leading batch
 axes: images [..., T, H, W] share one set of tables, built once per forward
 and once per backward, and are contracted against them one image at a time;
-its coordinate gradient is summed over those axes. Conventions:
+its one parent, coords, gets one gradient: the adjoint transform's term plus
+the forward's, each summed over those axes. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
   * image indices are centered: x in {-H//2, ..., H - H//2 - 1}, y likewise;
@@ -130,12 +131,9 @@ def acquire(z, coords: Tensor) -> Tensor:
             u = egu.sum(-1) / (h * w)
             adj = adj + _coord_term(xb, gb, egu, exs, ey, ys)
             fwd = fwd + _coord_term(u, zb, ex @ zb * ey, exs, ey, ys)
-        return adj.reshape(cd.shape) / (h * w), fwd.reshape(cd.shape)
+        return (adj.reshape(cd.shape) / (h * w) + fwd.reshape(cd.shape),)
 
-    # coords is a parent twice, once per transform, so the adjoint's and then
-    # the forward's gradient term accumulate into coords.grad one at a time:
-    # a batch sums them in the same order as two separate transform nodes.
-    return Tensor.from_op(np.stack([zt.real, zt.imag], axis=-4), (coords, coords), back)
+    return Tensor.from_op(np.stack([zt.real, zt.imag], axis=-4), (coords,), back)
 
 
 def cartesian_grid_coords(t_frames, h, w):

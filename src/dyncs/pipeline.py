@@ -1,15 +1,17 @@
 """End-to-end acquisition/reconstruction pipeline and the two training
 stages: joint main training and the stacked-trajectory refinement with the
-temporal-derivative hinge penalty.
+temporal-derivative hinge penalty above mu_X, one float from `dataset_mu`.
 
-One training loop (`_fit`) serves both stages, and one acquisition path
-serves main training, refinement, validation and stacked evaluation alike:
-`_acquire_windows` acquires every k-frame window of a list of sequences with
-the k-frame trajectory in one `acquire` call, and `_reconstruct` runs the
-network on each window of one sequence. An optimizer step acquires its whole
-mini-batch at once but differentiates the network one sample at a time. The
-losses take numpy arrays and return their value and gradient in closed form;
-the gradient's k-frame slices seed the backward of each window's network node.
+One training loop (`_fit`) serves both stages on the trajectory's coordinate
+array, which `project_kinematic` clips and projects after every update. One
+acquisition path serves main training, refinement, validation and stacked
+evaluation alike: `_acquire_windows` acquires every k-frame window of a list
+of sequences with the k-frame trajectory in one `acquire` call, and
+`_reconstruct` runs the network on each window of one sequence. An optimizer
+step acquires its whole mini-batch at once but differentiates the network
+one sample at a time. The losses take numpy arrays and return their value
+and gradient in closed form; the gradient's k-frame slices seed the backward
+of each window's network node.
 """
 
 from __future__ import annotations
@@ -65,15 +67,6 @@ class TrainConfig:
 
 
 @dataclass
-class MuStats:
-    mu_x: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mu_x):
-            raise AutodiffError("mu_X must be finite")
-
-
-@dataclass
 class TrainResult:
     trajectory: Trajectory
     params: dict
@@ -103,15 +96,15 @@ def mean_temporal_derivative(x, mode="abs"):
     return np.abs(mu) if mode == "abs" else mu
 
 
-def dataset_mu(volumes, mode="abs") -> MuStats:
-    """Average of the per-sample mean of mu entries over the training set."""
+def dataset_mu(volumes, mode="abs") -> float:
+    """mu_X: the average of the per-sample mean of mu entries over the training set."""
     if not volumes:
         raise AutodiffError("empty dataset")
     per_sample = [float(mean_temporal_derivative(v, mode).mean()) for v in volumes]
-    return MuStats(mu_x=float(np.mean(per_sample)))
+    return float(np.mean(per_sample))
 
 
-def loss_refine(z_hat, z, stats: MuStats, lambda_ref, mode="abs"):
+def loss_refine(z_hat, z, mu_x, lambda_ref, mode="abs"):
     """MSE plus lambda_ref times the hinge on the transitions whose mean
     temporal derivative mu exceeds the dataset mu_X: (value, dL/dz_hat).
 
@@ -121,15 +114,14 @@ def loss_refine(z_hat, z, stats: MuStats, lambda_ref, mode="abs"):
     it from frame t.
     """
     base, grad = loss_main(z_hat, z)
-    scale = 1.0 / (z_hat.shape[1] * z_hat.shape[2])
-    delta = (z_hat[1:] - z_hat[:-1]).sum(axis=(1, 2)) * scale
+    delta = mean_temporal_derivative(z_hat, "signed")
     mu = np.abs(delta) if mode == "abs" else delta
-    excess = mu - stats.mu_x
+    excess = mu - mu_x
     active = excess > 0
     hinge = float(lambda_ref) * active
     if mode == "abs":
         hinge = hinge * np.sign(delta)
-    hinge = (hinge * scale)[:, None, None]
+    hinge = (hinge * (1.0 / (z_hat.shape[1] * z_hat.shape[2])))[:, None, None]
     grad[1:] += hinge
     grad[:-1] -= hinge
     return float(base + (excess * active).sum() * float(lambda_ref)), grad
@@ -177,12 +169,6 @@ def init_trajectory(mode, n_frames, n_shots, m):
     return traj
 
 
-def _apply_constraints(coords, bounds):
-    """Clip into [-pi, pi] and project onto the kinematic set."""
-    clipped = np.clip(coords, -np.pi, np.pi)
-    return project_kinematic(Trajectory(clipped), bounds).coords
-
-
 def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
          seed, lr_net, lr_traj) -> TrainResult:
     """Adam on the network parameters (held fixed when `lr_net` is None) and
@@ -202,7 +188,7 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
     """
     rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
-    coords = _apply_constraints(trajectory.coords, bounds)
+    coords = project_kinematic(trajectory.coords, bounds)
     train_idx, val_idx = _split_train_val(len(volumes), tcfg.val_fraction)
     if not train_idx:
         raise AutodiffError(f"dataset too small for the {stage} stage")
@@ -253,8 +239,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
                         p.grad = None
             if traj_state is not None:
                 coords, traj_state = adam_step(coords, coords_t.grad * scale, traj_state)
-                coords = _apply_constraints(coords, bounds)
-            vel, acc = feasibility_report(Trajectory(coords), bounds)
+                coords = project_kinematic(coords, bounds)
+            vel, acc = feasibility_report(coords, bounds)
             max_violation = max(max_violation, vel, acc)
         vals = []
         if val_idx:
@@ -280,22 +266,24 @@ def train_main(volumes, tcfg: TrainConfig, pcfg: PhysicsConfig,
                 tcfg.epochs_main, tcfg.seed, tcfg.lr_net, tcfg.lr_traj)
 
 
-def train_refine(volumes_2k, tcfg: TrainConfig, stats: MuStats,
+def train_refine(volumes_2k, tcfg: TrainConfig, mu_x: float,
                  pcfg: PhysicsConfig, rcfg: ReconConfig, params: dict,
                  trajectory: Trajectory) -> TrainResult:
-    """Post-training refinement on 2k-frame data with the hinge penalty.
+    """Post-training refinement on 2k-frame data with the hinge above mu_X.
 
     Each sample is reconstructed as two k-frame windows acquired with the
     same base trajectory, so its gradient sums over both copies. The network
     is updated too unless tcfg.freeze_theta_refine is set.
     """
+    if not np.isfinite(mu_x):
+        raise AutodiffError("mu_X must be finite")
     k = tcfg.frames_k
     for v in volumes_2k:
         if v.shape[0] != 2 * k:
             raise AutodiffError(f"refinement data must have {2 * k} frames")
 
     def loss_fn(z_hat, z):
-        return loss_refine(z_hat, z, stats, tcfg.lambda_ref, mode=tcfg.mu_mode)
+        return loss_refine(z_hat, z, mu_x, tcfg.lambda_ref, mode=tcfg.mu_mode)
 
     lr_net = None if tcfg.freeze_theta_refine else tcfg.lr_net_refine
     return _fit(volumes_2k, loss_fn, tcfg, pcfg, rcfg, params, trajectory, "refine",

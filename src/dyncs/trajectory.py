@@ -3,8 +3,9 @@ feasibility projection and serialization.
 
 A trajectory is a real array [N_frames, N_shots, m, 2] of angular
 frequencies in radians (see `nufft` for the transform convention). The
-scanner's peak gradient and slew rate translate into per-sample bounds on
-the first and second discrete differences of each shot curve.
+scanner's peak gradient and slew rate bound the first and second discrete
+differences of each shot curve; `project_kinematic` enforces the bounds and
+`feasibility_report` audits them on coordinate arrays [..., m, 2].
 """
 
 from __future__ import annotations
@@ -133,15 +134,16 @@ def init_golden_angle(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
 
 
 def _block_shrink(u, radius):
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    norms = np.sqrt(u[..., :1] ** 2 + u[..., 1:] ** 2)
     scale = np.maximum(0.0, 1.0 - radius / np.maximum(norms, 1e-300))
     return u * scale
 
 
-def _kinematic_violations(c, b):
-    """(max velocity violation, max acceleration violation) over a batch of
-    curves [B, m, 2]; negative = slack, -alpha / -beta when a curve is too
-    short to have that difference."""
+def feasibility_report(coords, b: KinematicBounds):
+    """(max velocity violation, max acceleration violation) over the curves
+    of coords [..., m, 2]; negative = slack, -alpha / -beta when a curve is
+    too short to have that difference."""
+    c = coords.reshape(-1, *coords.shape[-2:])
     vel, acc = -b.alpha, -b.beta
     if c.shape[1] >= 2:
         vel = float((np.linalg.norm(c[:, 1:] - c[:, :-1], axis=-1) - b.alpha).max())
@@ -153,7 +155,7 @@ def _kinematic_violations(c, b):
 
 def _batch_violation(c, b):
     """Worst constraint violation over a batch of curves [B, m, 2]."""
-    return max(*_kinematic_violations(c, b), float(np.max(np.abs(c)) - np.pi))
+    return max(*feasibility_report(c, b), float(np.max(np.abs(c)) - np.pi))
 
 
 def _project_curves(c0, b):
@@ -174,8 +176,6 @@ def _project_curves(c0, b):
     already feasible to PROJECTION_TOL is returned unchanged.
     """
     bsz, m, _ = c0.shape
-    if m == 1:
-        return np.clip(c0, -np.pi, np.pi)
     if _batch_violation(c0, b) <= PROJECTION_TOL:
         return c0.copy()  # already within tolerance: fixed point, exact idempotency
     k = sparse.vstack([sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)),
@@ -210,19 +210,15 @@ def _project_curves(c0, b):
     raise ProjectionError(_batch_violation(curves(q), b))
 
 
-def project_kinematic(k: Trajectory, b: KinematicBounds) -> Trajectory:
-    """Map every shot of every frame onto the kinematically feasible set:
-    the first FISTA iterate of `_project_curves` feasible to PROJECTION_TOL,
-    an approximation of the Euclidean projection."""
-    shape = k.coords.shape
-    flat = k.coords.reshape(-1, shape[2], 2)
-    out = _project_curves(flat, b).reshape(shape)
-    return Trajectory(out, learnable=k.learnable)
-
-
-def feasibility_report(k: Trajectory, b: KinematicBounds):
-    """(max velocity violation, max acceleration violation); negative = slack."""
-    return _kinematic_violations(k.coords.reshape(-1, k.n_points, 2), b)
+def project_kinematic(coords, b: KinematicBounds):
+    """Clip the curves of coords [..., m, 2] into [-pi, pi] and map each onto
+    the kinematically feasible set with `_project_curves`, an approximation
+    of the Euclidean projection. Returns an array of the same shape."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim < 2 or coords.shape[-1] != 2 or np.isnan(coords).any():
+        raise TrajectoryError(f"coords must be [..., m, 2] without NaN, got {coords.shape}")
+    clipped = np.clip(coords, -np.pi, np.pi).reshape(-1, *coords.shape[-2:])
+    return _project_curves(clipped, b).reshape(coords.shape)
 
 
 def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None):

@@ -19,7 +19,7 @@ from dyncs.metrics import fsim, psnr, transition_report, vif_p
 from dyncs.nufft import cartesian_grid_coords, nudft_adjoint, nudft_forward
 from dyncs.recon import (ReconConfig, _attention, export_attention,
                          init_recon_params, recon_forward)
-from dyncs.trajectory import (PhysicsConfig, Trajectory, feasibility_report,
+from dyncs.trajectory import (PhysicsConfig, feasibility_report,
                               init_radial, kinematic_bounds, project_kinematic)
 
 from gradcheck import grad_check
@@ -97,7 +97,7 @@ def refine_runs():
              for u in np.split(v, v.shape[0] // K, axis=0)]
     pcfg = PhysicsConfig(grid=(GRID, GRID))
     rcfg = _rcfg()
-    stats = pl.dataset_mu(units)
+    mu_x = pl.dataset_mu(units)
     t0 = time.monotonic()
     runs = []
     keep = None
@@ -109,7 +109,7 @@ def refine_runs():
         trained = pl.train_main(units, tcfg, pcfg, rcfg, params, traj)
         peak_pre, psnr_pre = _eval_volumes(trained.trajectory, trained.params,
                                            rcfg, volumes)
-        refined = pl.train_refine(volumes, tcfg, stats, pcfg, rcfg,
+        refined = pl.train_refine(volumes, tcfg, mu_x, pcfg, rcfg,
                                   trained.params, trained.trajectory)
         peak_post, psnr_post = _eval_volumes(refined.trajectory, refined.params,
                                              rcfg, volumes)
@@ -218,11 +218,11 @@ def test_03_feasibility_through_training(capsys):
     worst_violation = max(row["max_violation"] for row in result.history)
 
     rng = np.random.default_rng(1)
-    rough = Trajectory(rng.uniform(-np.pi, np.pi, size=(2, 3, 32, 2)))
+    rough = rng.uniform(-np.pi, np.pi, size=(2, 3, 32, 2))
     bounds = kinematic_bounds(pcfg)
     once = project_kinematic(rough, bounds)
     twice = project_kinematic(once, bounds)
-    idem = float(np.max(np.abs(twice.coords - once.coords)))
+    idem = float(np.max(np.abs(twice - once)))
     vel, acc = feasibility_report(once, bounds)
 
     elapsed = time.monotonic() - t0

@@ -52,11 +52,14 @@ def test_gen_data_deterministic(tmp_path):
         assert (a / f"vol_{i}.f64").read_bytes() == (b / f"vol_{i}.f64").read_bytes()
 
 
-def test_gen_data_invalid_grid_is_usage_error(tmp_path, capsys):
-    rc = main(["gen-data", "--out", str(tmp_path / "x"), "--grid", "0"])
+@pytest.mark.parametrize("flags", [["--grid", "0"], ["--noise", "-1"], ["--noise", "nan"]],
+                         ids=["zero-grid", "negative-noise", "nan-noise"])
+def test_gen_data_invalid_grid_is_usage_error(tmp_path, capsys, flags):
+    rc = main(["gen-data", "--out", str(tmp_path / "x")] + flags)
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage"
+    assert not (tmp_path / "x").exists()
 
 
 def test_train_writes_run_directory(run_dir):
@@ -117,9 +120,12 @@ def test_train_malformed_network_is_usage_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flags", [["--lr-net", "0"], ["--frames-k", "1"],
-                                   ["--batch", "-1"], ["--epochs", "0"]],
+                                   ["--batch", "-1"], ["--epochs", "0"],
+                                   ["--shots", "0"], ["--points-per-shot", "1"],
+                                   ["--points-per-shot", "1", "--traj", "gar"]],
                          ids=["zero-net-learning-rate", "one-frame-window",
-                              "negative-batch", "zero-epochs"])
+                              "negative-batch", "zero-epochs", "zero-shots",
+                              "one-point-per-shot", "one-point-per-shot-gar"])
 def test_train_invalid_training_flag_is_usage_error(tmp_path, capsys, flags):
     # the dataset does not exist: a usage error shows the check came first
     rc = main(_train_args(tmp_path / "no-data", tmp_path / "out") + flags)
@@ -249,6 +255,16 @@ def test_stack_eval_use_pre_refine_ignores_the_refine(dataset, tmp_path, capsys)
     assert (tmp_path / "after" / "metrics.json").read_bytes() != before
 
 
+def test_stack_eval_invalid_total_frames_is_usage_error(run_dir, tmp_path, capsys):
+    # the dataset does not exist: a usage error shows the check came first
+    out = tmp_path / "out"
+    rc = main(["stack-eval", "--run", str(run_dir), "--data", str(tmp_path / "no-data"),
+               "--out", str(out), "--total-frames", "0"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not out.exists()
+
+
 def test_stack_eval_marks_transitions(dataset, run_dir, tmp_path, capsys):
     out = tmp_path / "t8"
     assert main(["stack-eval", "--run", str(run_dir), "--data", str(dataset),
@@ -286,8 +302,9 @@ def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys):
     rc = main(["export", "attention", "--run", str(run_dir),
                "--data", str(dataset), "--out", str(tmp_path / "bad"),
                "--region-x", str(GRID * 4)])
-    assert rc == 1
-    capsys.readouterr()
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "bad.csv").exists()
 
 
 @pytest.mark.parametrize("block", ["1", "-1"])

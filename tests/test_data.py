@@ -41,6 +41,8 @@ def test_invalid_spec_rejected():
         PhantomSpec(grid=(2, 2))
     with pytest.raises(DataError):
         PhantomSpec(noise_sigma=-1.0)
+    with pytest.raises(DataError):
+        PhantomSpec(noise_sigma=float("nan"))
 
 
 # -- dataset I/O ------------------------------------------------------------------

@@ -186,10 +186,20 @@ def test_acquire_coord_gradients_match_finite_differences():
 
 
 def _acquire_terms(z, coords0, seed):
-    """acquire's backward under upstream `seed`, split into its two terms:
-    (adjoint-transform term, forward-transform term), each [T,S,m,2]."""
-    out = acquire(z, Tensor(coords0, requires_grad=True))
-    return out._backward(seed)
+    """acquire's coordinate gradient under upstream `seed`, split into its two
+    terms with nufft's helpers: (adjoint-transform term, forward-transform
+    term), each [T,S,m,2]. Their sum is acquire's backward, bit for bit."""
+    h, w = z.shape[1:]
+    ex, ey = nufft._phase_tables(coords0, h, w)
+    xs, ys = nufft._centered_axes(h, w)
+    g = seed[0] + 1j * seed[1]
+    egu = ex @ g * ey
+    adj = nufft._coord_term(nufft._forward(ex, ey, z), g, egu, ex * xs, ey, ys)
+    fwd = nufft._coord_term(egu.sum(-1) / (h * w), z, ex @ z * ey, ex * xs, ey, ys)
+    adj, fwd = adj.reshape(coords0.shape) / (h * w), fwd.reshape(coords0.shape)
+    (total,) = acquire(z, Tensor(coords0, requires_grad=True))._backward(seed)
+    assert np.array_equal(total, adj + fwd)
+    return adj, fwd
 
 
 def _channels(image):

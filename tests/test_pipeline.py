@@ -12,7 +12,7 @@ from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.data import PhantomSpec, gen_phantom
 from dyncs.nufft import (cartesian_grid_coords, nudft_adjoint, nudft_forward)
 from dyncs.recon import ReconConfig, init_recon_params, recon_forward
-from dyncs.trajectory import PhysicsConfig, Trajectory, init_radial
+from dyncs.trajectory import PhysicsConfig, init_radial
 
 from gradcheck import grad_check
 
@@ -106,20 +106,20 @@ def test_mu_requires_two_frames():
 
 def test_dataset_mu_constant_volumes_is_zero():
     vols = [np.full((4, 3, 3), v) for v in (0.1, 0.5)]
-    assert pl.dataset_mu(vols).mu_x == pytest.approx(0.0)
+    assert pl.dataset_mu(vols) == pytest.approx(0.0)
 
 
 def test_dataset_mu_single_sample_is_its_mean():
     rng = np.random.default_rng(6)
     v = rng.random((4, 3, 3))
     expected = float(np.mean(np.abs((v[1:] - v[:-1]).mean(axis=(1, 2)))))
-    assert pl.dataset_mu([v]).mu_x == pytest.approx(expected, abs=1e-15)
+    assert pl.dataset_mu([v]) == pytest.approx(expected, abs=1e-15)
 
 
 def test_dataset_mu_two_samples_is_arithmetic_mean():
     ramp = np.stack([np.full((2, 2), float(t)) for t in range(3)])  # mu~ = 1
     flat = np.zeros((3, 2, 2))                                      # mu~ = 0
-    assert pl.dataset_mu([ramp, flat]).mu_x == pytest.approx(0.5)
+    assert pl.dataset_mu([ramp, flat]) == pytest.approx(0.5)
 
 
 def test_dataset_mu_rejects_empty():
@@ -133,16 +133,16 @@ def test_loss_refine_reduces_to_mse_when_lambda_zero():
     rng = np.random.default_rng(7)
     z = rng.random((4, 3, 3))
     z_hat = rng.random((4, 3, 3))
-    stats = pl.MuStats(mu_x=0.0)
-    assert pl.loss_refine(z_hat, z, stats, 0.0)[0] == pytest.approx(
+    mu_x = 0.0
+    assert pl.loss_refine(z_hat, z, mu_x, 0.0)[0] == pytest.approx(
         pl.loss_main(z_hat, z)[0], abs=1e-15)
 
 
 def test_loss_refine_hinge_inactive_below_threshold():
     z = np.zeros((4, 3, 3))
     z_hat = np.full((4, 3, 3), 0.2)  # constant video: mu = 0
-    stats = pl.MuStats(mu_x=0.5)
-    assert pl.loss_refine(z_hat, z, stats, 5.0)[0] == pytest.approx(
+    mu_x = 0.5
+    assert pl.loss_refine(z_hat, z, mu_x, 5.0)[0] == pytest.approx(
         0.04, abs=1e-12)
 
 
@@ -151,10 +151,10 @@ def test_loss_refine_penalizes_single_jump_by_hand():
     jump = 0.8
     z_hat_data = np.zeros((4, 2, 2))
     z_hat_data[2:] = jump  # one transition of size `jump`
-    stats = pl.MuStats(mu_x=0.3)
+    mu_x = 0.3
     lam = 5.0
-    loss = pl.loss_refine(z_hat_data, z, stats, lam)[0]
-    expected = float(np.mean(z_hat_data ** 2)) + lam * (jump - stats.mu_x)
+    loss = pl.loss_refine(z_hat_data, z, mu_x, lam)[0]
+    expected = float(np.mean(z_hat_data ** 2)) + lam * (jump - mu_x)
     assert loss == pytest.approx(expected, abs=1e-12)
 
 
@@ -162,8 +162,8 @@ def test_loss_refine_never_below_loss_main():
     rng = np.random.default_rng(8)
     z = rng.random((4, 3, 3))
     z_hat = rng.random((4, 3, 3))
-    stats = pl.MuStats(mu_x=0.01)
-    refine = pl.loss_refine(z_hat, z, stats, 5.0)[0]
+    mu_x = 0.01
+    refine = pl.loss_refine(z_hat, z, mu_x, 5.0)[0]
     main = pl.loss_main(z_hat, z)[0]
     assert refine >= main
 
@@ -171,10 +171,10 @@ def test_loss_refine_never_below_loss_main():
 def test_mu_gradients_flow_through_hinge():
     rng = np.random.default_rng(9)
     z = np.zeros((3, 2, 2))
-    stats = pl.MuStats(mu_x=0.0)
+    mu_x = 0.0
     x0 = rng.random((3, 2, 2)) + 0.5
 
-    assert grad_check(lambda t: pl.loss_refine(t, z, stats, 2.0), x0) < 1e-5
+    assert grad_check(lambda t: pl.loss_refine(t, z, mu_x, 2.0), x0) < 1e-5
 
 
 @settings(max_examples=40)
@@ -192,13 +192,13 @@ def test_closed_form_loss_gradients_match_central_differences(data, t, h, w, mod
     mu = pl.mean_temporal_derivative(x0, mode)
     cuts = np.concatenate([[mu.min() - 0.1], np.sort(mu), [mu.max() + 0.1]])
     cut = data.draw(st.integers(0, t - 1))
-    stats = pl.MuStats(mu_x=float(cuts[cut] + cuts[cut + 1]) / 2)
-    assume(np.min(np.abs(mu - stats.mu_x)) > 1e-3)
+    mu_x = float(cuts[cut] + cuts[cut + 1]) / 2
+    assume(np.min(np.abs(mu - mu_x)) > 1e-3)
     lam = data.draw(st.floats(0.1, 10.0))
 
     assert grad_check(lambda x: pl.loss_main(x, z), x0) < 1e-6
-    assert grad_check(lambda x: pl.loss_refine(x, z, stats, lam, mode), x0) < 1e-6
-    value, grad = pl.loss_refine(x0, z, stats, 0.0, mode)
+    assert grad_check(lambda x: pl.loss_refine(x, z, mu_x, lam, mode), x0) < 1e-6
+    value, grad = pl.loss_refine(x0, z, mu_x, 0.0, mode)
     main_value, main_grad = pl.loss_main(x0, z)
     assert value == main_value and np.array_equal(grad, main_grad)
 
@@ -232,8 +232,8 @@ def test_overfit_single_phantom_reduces_loss_tenfold():
 def test_frozen_trajectory_stays_at_projected_initialization():
     from dyncs.trajectory import kinematic_bounds, project_kinematic
     result, traj = _tiny_train(epochs=2, lr_traj=0.0)
-    projected = project_kinematic(Trajectory(traj.coords), kinematic_bounds(_pcfg(12)))
-    assert np.array_equal(result.trajectory.coords, projected.coords)
+    projected = project_kinematic(traj.coords, kinematic_bounds(_pcfg(12)))
+    assert np.array_equal(result.trajectory.coords, projected)
 
 
 def test_training_is_deterministic_given_seed():
@@ -269,7 +269,7 @@ def test_training_builds_phase_tables_once_per_acquisition(monkeypatch, learnabl
 
 
 def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
-    from dyncs.trajectory import kinematic_bounds
+    from dyncs.trajectory import kinematic_bounds, project_kinematic
     volumes = [gen_phantom(PhantomSpec(grid=(12, 12), frames=4, seed=s))
                for s in range(3)]
     tcfg = pl.TrainConfig(epochs_main=1, seed=0, batch=2, frames_k=4)
@@ -279,7 +279,7 @@ def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
     # a zero output layer would give the trajectory a zero gradient
     params["conv_out.w"].data[:] = 0.1 * rng.normal(size=params["conv_out.w"].shape)
     traj = init_radial(4, 2, 8)
-    coords0 = pl._apply_constraints(traj.coords, kinematic_bounds(_pcfg(12)))
+    coords0 = project_kinematic(traj.coords, kinematic_bounds(_pcfg(12)))
     train_idx, _ = pl._split_train_val(len(volumes), tcfg.val_fraction)
     assert len(train_idx) == tcfg.batch  # one optimizer step
     expected = np.zeros_like(coords0)
@@ -312,8 +312,8 @@ def test_refine_zero_epochs_returns_state_unchanged():
     params = init_recon_params(rcfg, np.random.default_rng(0))
     before = {n: p.data.copy() for n, p in params.items()}
     traj = init_radial(4, 2, 8)
-    stats = pl.MuStats(mu_x=0.1)
-    result = pl.train_refine(vols, tcfg, stats, _pcfg(12), rcfg, params, traj)
+    mu_x = 0.1
+    result = pl.train_refine(vols, tcfg, mu_x, _pcfg(12), rcfg, params, traj)
     assert result.history == []
     for name in params:
         assert np.array_equal(params[name].data, before[name])
@@ -325,7 +325,18 @@ def test_refine_rejects_wrong_frame_count():
     rcfg = _small_rcfg()
     params = init_recon_params(rcfg, np.random.default_rng(0))
     with pytest.raises(AutodiffError):
-        pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.1), _pcfg(12), rcfg,
+        pl.train_refine(vols, tcfg, 0.1, _pcfg(12), rcfg,
+                        params, init_radial(4, 2, 8))
+
+
+@pytest.mark.parametrize("mu_x", [np.nan, np.inf])
+def test_refine_rejects_non_finite_mu_x(mu_x):
+    vols = [np.zeros((8, 12, 12))] * 2
+    tcfg = pl.TrainConfig(epochs_refine=1, frames_k=4)
+    rcfg = _small_rcfg()
+    params = init_recon_params(rcfg, np.random.default_rng(0))
+    with pytest.raises(AutodiffError, match="mu_X must be finite"):
+        pl.train_refine(vols, tcfg, mu_x, _pcfg(12), rcfg,
                         params, init_radial(4, 2, 8))
 
 
@@ -336,7 +347,7 @@ def test_refine_with_nothing_to_train_is_rejected():
     rcfg = _small_rcfg()
     params = init_recon_params(rcfg, np.random.default_rng(0))
     with pytest.raises(AutodiffError, match="nothing to train"):
-        pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.1), _pcfg(12), rcfg,
+        pl.train_refine(vols, tcfg, 0.1, _pcfg(12), rcfg,
                         params, init_radial(4, 2, 8))
 
 
@@ -344,17 +355,17 @@ def test_refine_with_zero_lambda_is_plain_mse_finetune():
     vols = [gen_phantom(PhantomSpec(grid=(12, 12), frames=8, seed=s))
             for s in range(2)]
     rcfg = _small_rcfg()
-    stats = pl.MuStats(mu_x=1e9)  # hinge certainly inactive
+    mu_x = 1e9  # hinge certainly inactive
 
-    def run(lam, stats_used):
+    def run(lam, mu_x_used):
         tcfg = pl.TrainConfig(epochs_main=1, epochs_refine=1, seed=0,
                               frames_k=4, lambda_ref=lam, batch=2)
         params = init_recon_params(rcfg, np.random.default_rng(0))
-        return pl.train_refine(vols, tcfg, stats_used, _pcfg(12), rcfg, params,
+        return pl.train_refine(vols, tcfg, mu_x_used, _pcfg(12), rcfg, params,
                                init_radial(4, 2, 8))
 
-    a = run(0.0, pl.MuStats(mu_x=0.0))
-    b = run(5.0, stats)
+    a = run(0.0, 0.0)
+    b = run(5.0, mu_x)
     assert np.array_equal(a.trajectory.coords, b.trajectory.coords)
 
 
@@ -371,12 +382,12 @@ def test_refine_frozen_network_moves_only_the_trajectory():
     params["conv_out.w"].data[:] = 0.1 * rng.normal(size=params["conv_out.w"].shape)
     before = {n: p.data.copy() for n, p in params.items()}
     traj = init_radial(4, 2, 8)
-    result = pl.train_refine(vols, tcfg, pl.MuStats(mu_x=0.01), _pcfg(12), rcfg,
+    result = pl.train_refine(vols, tcfg, 0.01, _pcfg(12), rcfg,
                              params, traj)
     for name in params:
         assert np.array_equal(result.params[name].data, before[name]), name
         assert result.params[name].grad is None, name
-    start = project_kinematic(Trajectory(traj.coords), kinematic_bounds(_pcfg(12))).coords
+    start = project_kinematic(traj.coords, kinematic_bounds(_pcfg(12)))
     assert np.abs(result.trajectory.coords - start).max() > 1e-6
 
 
@@ -389,8 +400,8 @@ def test_refine_validation_matches_stacked_eval():
                           lr_traj_refine=0.01, lr_net_refine=1e-4)
     rcfg = _small_rcfg()
     params = init_recon_params(rcfg, np.random.default_rng(0))
-    stats = pl.MuStats(mu_x=0.01)
-    result = pl.train_refine(vols, tcfg, stats, _pcfg(24), rcfg, params,
+    mu_x = 0.01
+    result = pl.train_refine(vols, tcfg, mu_x, _pcfg(24), rcfg, params,
                              init_radial(4, 2, 12))
     _, val_idx = pl._split_train_val(len(vols), tcfg.val_fraction)
     assert val_idx
@@ -398,7 +409,7 @@ def test_refine_validation_matches_stacked_eval():
     for i in val_idx:
         recon = pl.evaluate_stacked(result.trajectory, result.params, rcfg,
                                     vols[i], 4).reconstruction
-        losses.append(pl.loss_refine(recon, vols[i], stats,
+        losses.append(pl.loss_refine(recon, vols[i], mu_x,
                                      tcfg.lambda_ref, mode=tcfg.mu_mode)[0])
     assert result.history[-1]["val_loss"] == pytest.approx(np.mean(losses),
                                                            rel=1e-12)

@@ -106,15 +106,15 @@ def test_generators_emit_in_range_coordinates():
 def test_projection_leaves_feasible_input_unchanged():
     b = KinematicBounds(alpha=1.0, beta=1.0)
     k = init_radial(2, 3, 8, span=0.5)
-    out = project_kinematic(k, b)
-    np.testing.assert_array_equal(out.coords, k.coords)
+    out = project_kinematic(k.coords, b)
+    np.testing.assert_array_equal(out, k.coords)
 
 
 def test_projection_shrinks_two_point_segment_about_midpoint():
     b = KinematicBounds(alpha=0.1, beta=1.0)
-    seg = Trajectory(np.array([[[[-0.1, 0.0], [0.1, 0.0]]]]))
+    seg = np.array([[[[-0.1, 0.0], [0.1, 0.0]]]])
     out = project_kinematic(seg, b)
-    np.testing.assert_allclose(out.coords[0, 0],
+    np.testing.assert_allclose(out[0, 0],
                                [[-0.05, 0.0], [0.05, 0.0]], atol=1e-7)
 
 
@@ -123,11 +123,11 @@ def test_projection_makes_random_curve_feasible_and_stays_close():
     b = KinematicBounds(alpha=0.1, beta=0.05)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.25, size=(1, 2, 30, 2)), axis=2),
                  -np.pi, np.pi)
-    out = project_kinematic(Trajectory(c0), b)
-    assert _violations(out.coords, b) <= PROJECTION_TOL
+    out = project_kinematic(c0, b)
+    assert _violations(out, b) <= PROJECTION_TOL
     # the projection is no farther from the input than any feasible witness
     witness = np.zeros_like(c0)  # the zero curve is trivially feasible
-    assert np.linalg.norm(out.coords - c0) <= np.linalg.norm(witness - c0) + 1e-9
+    assert np.linalg.norm(out - c0) <= np.linalg.norm(witness - c0) + 1e-9
 
 
 def test_projection_is_idempotent():
@@ -135,9 +135,9 @@ def test_projection_is_idempotent():
     b = KinematicBounds(alpha=0.1, beta=0.05)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.3, size=(2, 3, 24, 2)), axis=2),
                  -np.pi, np.pi)
-    once = project_kinematic(Trajectory(c0), b)
+    once = project_kinematic(c0, b)
     twice = project_kinematic(once, b)
-    assert np.max(np.abs(twice.coords - once.coords)) <= 1e-9
+    assert np.max(np.abs(twice - once)) <= 1e-9
 
 
 def test_projection_does_not_move_away_from_feasible_witnesses():
@@ -145,52 +145,84 @@ def test_projection_does_not_move_away_from_feasible_witnesses():
     b = KinematicBounds(alpha=0.2, beta=0.1)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.3, size=(1, 1, 20, 2)), axis=2),
                  -np.pi, np.pi)
-    out = project_kinematic(Trajectory(c0), b)
+    out = project_kinematic(c0, b)
     witnesses = [np.zeros_like(c0),
                  init_radial(1, 1, 20, span=0.5 * b.alpha * 19 / 2).coords]
     for w in witnesses:
         assert _violations(w, b) <= 0.0
-        assert (np.linalg.norm(out.coords - w)
+        assert (np.linalg.norm(out - w)
                 <= np.linalg.norm(c0 - w) + 1e-8)
 
 
 def test_projection_output_respects_coordinate_box():
     b = KinematicBounds(alpha=2.0, beta=2.0)
     c0 = np.full((1, 1, 4, 2), np.pi)  # on the box boundary, feasible diffs
-    out = project_kinematic(Trajectory(c0), b)
-    assert np.all(np.abs(out.coords) <= np.pi)
+    out = project_kinematic(c0, b)
+    assert np.all(np.abs(out) <= np.pi)
     # the box binds: without it the acceleration bound would move the first
     # point to pi + 0.08; KKT multipliers 0.08 (box) and 0.08 (D2)
     b = KinematicBounds(alpha=1.0, beta=0.1)
     c0 = np.array([[[[np.pi, 0.0], [np.pi, 0.0], [np.pi - 0.5, 0.0]]]])
-    out = project_kinematic(Trajectory(c0), b)
-    assert np.all(np.abs(out.coords) <= np.pi)
-    np.testing.assert_allclose(out.coords[0, 0, :, 0],
+    out = project_kinematic(c0, b)
+    assert np.all(np.abs(out) <= np.pi)
+    np.testing.assert_allclose(out[0, 0, :, 0],
                                [np.pi, np.pi - 0.16, np.pi - 0.42], atol=2e-3)
-    np.testing.assert_allclose(out.coords[0, 0, :, 1], 0.0, atol=2e-3)
+    np.testing.assert_allclose(out[0, 0, :, 1], 0.0, atol=2e-3)
+
+
+def test_projection_clips_into_the_box_first():
+    b = KinematicBounds(alpha=10.0, beta=10.0)  # only the box can bind
+    c0 = np.array([[[[4.0, -5.0], [0.5, 0.0], [-4.0, 1.0]]]])
+    np.testing.assert_array_equal(project_kinematic(c0, b), np.clip(c0, -np.pi, np.pi))
+
+
+def test_projection_of_stacked_frames_equals_flattened_curves():
+    rng = np.random.default_rng(4)
+    b = KinematicBounds(alpha=0.1, beta=0.05)
+    c0 = np.clip(np.cumsum(rng.normal(scale=0.3, size=(3, 2, 12, 2)), axis=2),
+                 -np.pi, np.pi)
+    stacked = project_kinematic(c0, b)
+    flat = project_kinematic(c0.reshape(6, 12, 2), b)
+    assert stacked.shape == c0.shape
+    assert stacked.tobytes() == flat.tobytes()
+
+
+def _one_nan():
+    coords = init_radial(1, 2, 5).coords
+    coords[0, 1, 3, 0] = np.nan
+    return coords
+
+
+@pytest.mark.parametrize("coords", [_one_nan(), np.zeros((1, 2, 5, 3)), np.zeros(2)],
+                         ids=["one-nan", "three-components", "no-curve-axis"])
+def test_projection_rejects_malformed_coords_before_iterating(monkeypatch, coords):
+    # without the check, NaN would run MAX_ITER iterations before failing
+    import dyncs.trajectory as tr
+    monkeypatch.setattr(tr, "_project_curves", lambda *a: pytest.fail("projected"))
+    with pytest.raises(TrajectoryError):
+        project_kinematic(coords, KinematicBounds(alpha=0.1, beta=0.05))
 
 
 # -- feasibility report ----------------------------------------------------------
 
 def test_report_positive_for_wide_radial_with_tight_bound():
     b = KinematicBounds(alpha=1e-3, beta=1.0)
-    vel, _ = feasibility_report(init_radial(1, 2, 8), b)
+    vel, _ = feasibility_report(init_radial(1, 2, 8).coords, b)
     assert vel > 0.0
 
 
 def test_report_vacuous_for_single_point_shots():
     b = KinematicBounds(alpha=0.3, beta=0.2)
-    k = Trajectory(np.zeros((2, 2, 1, 2)))
-    vel, acc = feasibility_report(k, b)
+    vel, acc = feasibility_report(np.zeros((2, 2, 1, 2)), b)
     assert vel == pytest.approx(-0.3) and acc == pytest.approx(-0.2)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
 def test_report_equals_per_shot_loop(m):
     rng = np.random.default_rng(m)
-    k = Trajectory(rng.uniform(-np.pi, np.pi, size=(3, 2, m, 2)))
+    coords = rng.uniform(-np.pi, np.pi, size=(3, 2, m, 2))
     b = KinematicBounds(alpha=0.4, beta=0.3)
-    assert feasibility_report(k, b) == _loop_report(k.coords, b)
+    assert feasibility_report(coords, b) == _loop_report(coords, b)
 
 
 def test_report_nonpositive_after_projection():
@@ -198,7 +230,7 @@ def test_report_nonpositive_after_projection():
     b = KinematicBounds(alpha=0.1, beta=0.05)
     c0 = np.clip(np.cumsum(rng.normal(scale=0.2, size=(1, 2, 16, 2)), axis=2),
                  -np.pi, np.pi)
-    out = project_kinematic(Trajectory(c0), b)
+    out = project_kinematic(c0, b)
     vel, acc = feasibility_report(out, b)
     assert max(vel, acc) <= PROJECTION_TOL
 
