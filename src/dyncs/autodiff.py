@@ -67,10 +67,15 @@ class Tensor:
 
 def _columns(x, k):
     """The im2col matrix of x [C,T,H,W] under "same" zero padding for odd
-    kernel extents k = (kt, kh, kw): [C*kt*kh*kw, T*H*W], rows (c, dt, dh, dw)."""
+    kernel extents k = (kt, kh, kw), as one [C*kh*kw, T*H*W] view per frame
+    shift dt, rows (c, dh, dw). It is built over the two spatial axes only:
+    the view of shift dt is the column range from dt*H*W of one
+    [C*kh*kw, (T+kt-1)*H*W] matrix over the time-padded volume."""
     pad = [(0, 0)] + [(n // 2, n // 2) for n in k]
-    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), k, axis=(1, 2, 3))
-    return view.transpose(0, 4, 5, 6, 1, 2, 3).reshape(-1, x[0].size)
+    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), k[1:], axis=(2, 3))
+    hw, n = x[0, 0].size, x[0].size
+    cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(-1, n + (k[0] - 1) * hw)
+    return [cols[:, dt * hw:dt * hw + n] for dt in range(k[0])]
 
 
 def conv3d_forward(x, w):
@@ -83,12 +88,20 @@ def conv3d_forward(x, w):
         raise AutodiffError(f"conv3d channel mismatch: {x.shape[0]} vs {cin}")
     if any(n % 2 == 0 for n in k):
         raise AutodiffError("conv3d kernel extents must be odd")
-    return (w.reshape(cout, -1) @ _columns(x, k)).reshape((cout,) + x.shape[1:])
+    shifts = _columns(x, k)
+    out = w[:, :, 0].reshape(cout, -1) @ shifts[0]
+    for dt in range(1, k[0]):
+        out += w[:, :, dt].reshape(cout, -1) @ shifts[dt]
+    return out.reshape((cout,) + x.shape[1:])
 
 
 def conv3d_grad_weight(g, x, w_shape):
     """The gradient of `conv3d_forward(x, w)` in w for upstream g."""
-    return (g.reshape(w_shape[0], -1) @ _columns(x, w_shape[2:]).T).reshape(w_shape)
+    cout, cin, _, kh, kw = w_shape
+    gw, g = np.empty(w_shape), g.reshape(cout, -1)
+    for dt, cols in enumerate(_columns(x, w_shape[2:])):
+        gw[:, :, dt] = (g @ cols.T).reshape(cout, cin, kh, kw)
+    return gw
 
 
 def conv3d_grad_input(g, w):
@@ -99,8 +112,9 @@ def conv3d_grad_input(g, w):
 
 def conv3d(x, w):
     """`conv3d_forward` as a graph node over the Tensors x and w. Each of the
-    output and the two gradients is one matmul against `_columns`, which the
-    backward rebuilds; it skips the gradient of an operand without grad."""
+    output and the two gradients is one matmul per frame shift against
+    `_columns`, which the backward rebuilds; it skips the gradient of an
+    operand without grad."""
     out = conv3d_forward(x.data, w.data)
 
     def back(g):

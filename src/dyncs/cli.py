@@ -24,8 +24,8 @@ from . import data as dz
 from .autodiff import AutodiffError, Tensor
 from . import metrics as qm
 from . import pipeline as pl
-from .recon import (ReconConfig, export_attention, init_recon_params,
-                    load_checkpoint, recon_forward, save_checkpoint)
+from .recon import (ReconConfig, export_attention, init_recon_params, load_checkpoint,
+                    recon_forward, region_windows, save_checkpoint, window_grid)
 from .trajectory import (PhysicsConfig, TrajectoryError, export_trajectory,
                          kinematic_bounds, load_trajectory)
 
@@ -300,13 +300,14 @@ def cmd_export(args):
     volumes = dz.load_dataset(args.data)
     k = manifest["config"]["frames_k"]
     z = volumes[0][:k]
-    regrid = pl.acquire(z, Tensor(traj.coords))
-    _, records = recon_forward(regrid, rcfg, params, record_attention=True)
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
-    try:
-        geometry = export_attention(records[args.block], region, out)
+    try:  # the padded window grid depends only on the volume shape
+        region_windows(region, rcfg.window, window_grid(z.shape, rcfg.window))
     except AutodiffError as exc:
         raise UsageError(f"invalid attention region: {exc}") from exc
+    regrid = pl.acquire(z, Tensor(traj.coords))
+    _, records = recon_forward(regrid, rcfg, params, record_attention=True)
+    geometry = export_attention(records[args.block], region, out)
     print(f"exported {geometry['n_maps']} attention maps to {out}.csv")
 
 

@@ -9,9 +9,13 @@ communication. No window shifting and no relative position bias.
 The network is one graph node, `recon_forward`, over the input and every
 parameter. `_net_forward` runs it in numpy (conv_in; per block pad, window
 partition, transformer block `_block_forward`, unpartition, crop, residual
-conv; conv_out) and `_net_backward` walks those stages in reverse. The node
+conv; conv_out) and `_net_backward` walks those stages in reverse. Each
+transformer block runs over chunks of the window axis, sized by
+`_CHUNK_BYTES`, so its [windows, heads, N, N] attention arrays never exist
+for all windows at once; windows are independent, so this is exact. The node
 keeps only the block and conv inputs; each block's backward recomputes its
-attention and MLP activations. Pad tokens are masked as attention keys.
+attention and MLP activations one chunk at a time. Pad tokens are masked as
+attention keys.
 """
 
 from __future__ import annotations
@@ -86,18 +90,19 @@ def window_unpartition(tokens, window, shape):
 
 
 def _softmax(x):
-    """Softmax over the last axis."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in one new array; x is left unchanged."""
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then apply the affine map; returns
     (out, xhat, 1/std), the last two for `_layer_norm_backward`."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     return xhat * gamma + beta, xhat, inv
 
 
@@ -129,8 +134,11 @@ def _attention(x, wqkv, bqkv, wo, bo, heads, mask=None):
     qkv = x @ wqkv + bqkv  # [nw,N,3C]
     q, k, v = (qkv[:, :, i * c:(i + 1) * c].reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
                for i in range(3))  # [nw,h,N,d]
-    logits = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
-    weights = _softmax(logits if mask is None else logits + mask)
+    logits = q @ k.transpose(0, 1, 3, 2)
+    logits *= 1.0 / np.sqrt(d)
+    if mask is not None:
+        logits += mask
+    weights = _softmax(logits)
     heads_out = (weights @ v).transpose(0, 2, 1, 3).reshape(nw, n, c)
     return heads_out @ wo + bo, (q, k, v, weights, heads_out)
 
@@ -143,11 +151,16 @@ def _attention_backward(g, x, wqkv, wo, acts, heads, param_grads=True):
     nw, n, c = x.shape
     d = c // heads
     gh = (g @ wo.T).reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
-    gw = gh @ v.transpose(0, 1, 3, 2)
     gv = weights.transpose(0, 1, 3, 2) @ gh
-    glogits = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(d))
-    gq = glogits @ k
-    gk = glogits.transpose(0, 1, 3, 2) @ q
+    # softmax backward: the row term sum_j gw_ij w_ij is gh_i . o_i, with o
+    # the per-head output (FlashAttention-2's D), so no N x N product is built
+    o = heads_out.reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
+    gw = gh @ v.transpose(0, 1, 3, 2)
+    gw -= (gh * o).sum(axis=-1, keepdims=True)
+    gw *= weights  # the logits' gradient, up to the 1/sqrt(d) scale
+    scale = 1.0 / np.sqrt(d)
+    gq = (gw @ k) * scale
+    gk = (gw.transpose(0, 1, 3, 2) @ q) * scale
     gqkv = np.concatenate([t.transpose(0, 2, 1, 3).reshape(nw, n, c) for t in (gq, gk, gv)],
                           axis=-1)
     if not param_grads:
@@ -240,6 +253,12 @@ def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
     return params
 
 
+def window_grid(shape, window):
+    """Windows along each axis of a (T, H, W) volume once it is padded to the
+    window grid."""
+    return tuple(-(-n // e) for n, e in zip(shape, window))
+
+
 def _window_geometry(shape, window):
     """(np.pad widths, crop, pad-key logit mask or None) that pad a [C,T,H,W]
     volume symmetrically to the window grid. Each axis pads by less than its
@@ -260,23 +279,50 @@ def _block_params(P, i):
     return tuple(P[f"block{i}.{name}"] for name in BLOCK_PARAMS)
 
 
+# windows per transformer-block call: one [windows, heads, N, N] float64
+# array of the chunk stays near this size, so the attention temporaries are
+# cache-sized rather than full-volume (cf. metrics._CHUNK_BYTES)
+_CHUNK_BYTES = 2 ** 20
+
+
+def _chunks(tokens, heads, mask):
+    """(window slice, pad-key mask of the slice or None) over the window
+    axis of tokens [n_windows, N, C], in order."""
+    nw, n, _ = tokens.shape
+    step = max(1, _CHUNK_BYTES // (8 * heads * n * n))
+    for lo in range(0, nw, step):
+        s = slice(lo, lo + step)
+        yield s, None if mask is None else mask[s]
+
+
 def _net_forward(x, P, cfg: ReconConfig, record):
     """The network on the input array x [2,T,H,W] with the parameter arrays
     P {name: array}. Returns (out [T,H,W], saved, records): `saved` holds the
     (block input, residual conv input) of each block, then conv_out's input;
-    `records` the blocks' AttentionRecords if `record`."""
+    `records` the blocks' AttentionRecords if `record`.
+
+    Each block runs over `_chunks` of its windows, so its attention arrays
+    exist one chunk at a time; only the softmax weights of a recorded block
+    are kept whole. The backward recomputes every other block activation."""
     h = ad.conv3d_forward(x, P["conv_in.w"]) + P["conv_in.b"]
     pads, crop, mask = _window_geometry(h.shape, cfg.window)
     saved, records = [], []
     for i in range(cfg.n_blocks):
         xp = np.pad(h, pads)
-        win, acts = _block_forward(window_partition(xp, cfg.window), _block_params(P, i),
-                                   cfg.heads, mask)
+        tokens = window_partition(xp, cfg.window)
+        win, weights = np.empty_like(tokens), []
+        for s, m in _chunks(tokens, cfg.heads, mask):
+            win[s], acts = _block_forward(tokens[s], _block_params(P, i), cfg.heads, m)
+            if record:
+                weights.append(acts[2][3])
         if record:
-            grid = tuple(n // e for n, e in zip(xp.shape[1:], cfg.window))
-            records.append(AttentionRecord(acts[2][3], cfg.window, grid, block_index=i))
-        del acts  # the backward recomputes the block's activations
+            records.append(AttentionRecord(np.concatenate(weights), cfg.window,
+                                           window_grid(h.shape[1:], cfg.window),
+                                           block_index=i))
         y = window_unpartition(win, cfg.window, xp.shape)[crop]
+        # free the block's arrays before the residual conv builds its im2col;
+        # the backward recomputes the block's activations
+        del xp, tokens, win, acts
         saved.append((h, y))
         h = y + ad.conv3d_forward(y, P[f"block{i}.conv.w"]) + P[f"block{i}.conv.b"]
     saved.append(h)
@@ -303,11 +349,16 @@ def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
         h, y = saved[i]
         gy = gh + conv(f"block{i}.conv", gh, y)
         xp = np.pad(h, pads)
-        gwin, *gp = _block_backward(window_partition(np.pad(gy, pads), cfg.window),
-                                    window_partition(xp, cfg.window),
-                                    _block_params(P, i), cfg.heads, mask, param_grads)
+        tokens, gtokens = (window_partition(a, cfg.window) for a in (xp, np.pad(gy, pads)))
+        gwin, gp = np.empty_like(tokens), [0.0] * len(BLOCK_PARAMS)
+        for s, m in _chunks(tokens, cfg.heads, mask):
+            gwin[s], *gps = _block_backward(gtokens[s], tokens[s], _block_params(P, i),
+                                            cfg.heads, m, param_grads)
+            # summed over chunks in chunk order; all None without param_grads
+            gp = [a + b for a, b in zip(gp, gps)] if param_grads else gps
         grads.update((f"block{i}.{name}", gv) for name, gv in zip(BLOCK_PARAMS, gp))
         gh = window_unpartition(gwin, cfg.window, xp.shape)[crop]
+        del xp, tokens, gtokens, gwin, gps  # before the next conv's im2col
     return conv("conv_in", gh, x, input_grad), grads
 
 
@@ -374,6 +425,22 @@ def load_checkpoint(path):
     return cfg, params
 
 
+def region_windows(region, window, grid):
+    """(temporal window index, window rows, window columns) covered by an
+    attention export region = (t, y, x, extent) on a window grid of `grid`
+    windows of extents `window`; raises AutodiffError if the region leaves
+    the grid or does not align with it."""
+    t, y, x, extent = region
+    wt, wh, ww = window
+    nt, nh, nw = grid
+    if (t < 0 or t >= nt * wt or y < 0 or x < 0
+            or y + extent > nh * wh or x + extent > nw * ww):
+        raise AutodiffError("attention export region out of bounds")
+    if y % wh or x % ww or extent % wh or extent % ww:
+        raise AutodiffError("region must align with the spatial window grid")
+    return t // wt, range(y // wh, (y + extent) // wh), range(x // ww, (x + extent) // ww)
+
+
 def export_attention(record: AttentionRecord, region, path):
     """Dump the attention maps of the windows covering a spatial region.
 
@@ -381,18 +448,8 @@ def export_attention(record: AttentionRecord, region, path):
     frame t whose spatial tile lies inside the extent x extent square at
     (y, x). A 16x16 region with 4x4 spatial windows yields 16 maps.
     """
-    t, y, x, extent = region
-    wt, wh, ww = record.window
-    nt, nh, nw = record.grid
-    if (t < 0 or t >= nt * wt or y < 0 or x < 0
-            or y + extent > nh * wh or x + extent > nw * ww):
-        raise AutodiffError("attention export region out of bounds")
-    if y % wh or x % ww or extent % wh or extent % ww:
-        raise AutodiffError("region must align with the spatial window grid")
-
-    ti = t // wt
-    rows = range(y // wh, (y + extent) // wh)
-    cols = range(x // ww, (x + extent) // ww)
+    ti, rows, cols = region_windows(region, record.window, record.grid)
+    nh, nw = record.grid[1:]
     path = Path(path)
     n_maps = 0
     with open(path.with_suffix(".csv"), "w", newline="") as fh:

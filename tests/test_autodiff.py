@@ -167,12 +167,35 @@ def test_conv3d_all_ones_interior_is_27():
     assert out[0, 2, 2, 2] == pytest.approx(27.0)
 
 
+def _conv3d_grad_weight_oracle(g, x, w_shape):
+    cout, cin, kt, kh, kw = w_shape
+    t, h, wd = x.shape[1:]
+    xp = np.pad(x, ((0, 0), (kt // 2, kt // 2), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    gw = np.zeros(w_shape)
+    for co in range(cout):
+        for ci in range(cin):
+            for a in range(kt):
+                for b in range(kh):
+                    for c in range(kw):
+                        gw[co, ci, a, b, c] = np.sum(g[co] * xp[ci, a:a + t, b:b + h, c:c + wd])
+    return gw
+
+
 def test_conv3d_matches_loop_oracle():
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(2, 3, 4, 5))
-    w = rng.normal(size=(3, 2, 3, 3, 3))
-    out = ad.conv3d(Tensor(x), Tensor(w)).data
-    np.testing.assert_allclose(out, _conv3d_oracle(x, w), atol=1e-12)
+    # (C_in, C_out, T, kernel): one-channel convolutions, one frame under a
+    # five-frame kernel, and kernels flat along each axis in turn
+    for cin, cout, t, k in [(2, 3, 3, (3, 3, 3)), (1, 1, 3, (3, 3, 3)), (2, 3, 1, (5, 3, 3)),
+                            (2, 3, 3, (1, 3, 3)), (2, 3, 3, (5, 1, 3)), (2, 3, 4, (3, 5, 1)),
+                            (2, 3, 3, (1, 1, 1))]:
+        x = rng.normal(size=(cin, t, 4, 5))
+        w = rng.normal(size=(cout, cin) + k)
+        g = rng.normal(size=(cout, t, 4, 5))
+        out = ad.conv3d(Tensor(x), Tensor(w)).data
+        np.testing.assert_allclose(out, _conv3d_oracle(x, w), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ad.conv3d_grad_weight(g, x, w.shape),
+                                   _conv3d_grad_weight_oracle(g, x, w.shape),
+                                   rtol=1e-12, atol=1e-12)
 
 
 def test_conv3d_gradients_match_finite_differences():

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from dyncs import data as dz
+from dyncs import pipeline as pl
 from dyncs.cli import main
 from dyncs.data import load_dataset
 
@@ -298,7 +299,12 @@ def test_export_attention_rows_sum_to_one(dataset, run_dir, tmp_path, capsys):
         assert sum(float(v) for v in row[5:]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys):
+def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys, monkeypatch):
+    # the region is checked against the window grid before any acquisition
+    def acquire(*args, **kwargs):
+        raise AssertionError("acquired before the region was checked")
+
+    monkeypatch.setattr(pl, "acquire", acquire)
     rc = main(["export", "attention", "--run", str(run_dir),
                "--data", str(dataset), "--out", str(tmp_path / "bad"),
                "--region-x", str(GRID * 4)])

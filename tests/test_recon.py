@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dyncs import autodiff as ad
+from dyncs import recon
 from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.pipeline import loss_main
 from dyncs.recon import (BLOCK_PARAMS, AttentionRecord, ReconConfig, _attention,
@@ -328,6 +329,52 @@ def test_recon_graph_keeps_no_block_activations():
     assert held < 20e6
     out.backward(loss_main(out.data, target)[1])
     assert all(p.grad is not None for p in params.values())
+
+
+def test_recon_forward_and_backward_peak_memory():
+    rng = np.random.default_rng(24)
+    cfg = ReconConfig()  # the CLI default, c16/b2
+    params = init_recon_params(cfg, rng)
+    x = Tensor(rng.normal(size=(2, 4, 32, 32)), requires_grad=True)
+    seed = rng.normal(size=(4, 32, 32))
+    tracemalloc.start()
+    try:
+        out, _ = recon_forward(x, cfg, params)
+        out.backward(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # ~31 MB when each block's [windows, heads, N, N] arrays exist for all
+    # windows at once and the im2col repeats every frame kt times
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 8), (3, 6, 10)], ids=["unpadded", "padded"])
+def test_window_chunks_are_exact(monkeypatch, shape):
+    rng = np.random.default_rng(23)
+    cfg = _small_cfg(n_blocks=2)
+    params = _perturbed_params(cfg, rng)
+    x = rng.normal(size=(2,) + shape)
+    seed = rng.normal(size=shape)
+    window_bytes = 8 * cfg.heads * 8 ** 2  # one [heads, N, N] array, N = 2*2*2
+    runs = []
+    # one window per chunk, 7 per chunk (32 and 30 windows leave a remainder),
+    # one chunk for all windows
+    for chunk_bytes in (window_bytes, 7 * window_bytes, 2 ** 40):
+        monkeypatch.setattr(recon, "_CHUNK_BYTES", chunk_bytes)
+        for p in params.values():
+            p.grad = None
+        inp = Tensor(x, requires_grad=True)
+        out, records = recon_forward(inp, cfg, params, record_attention=True)
+        out.backward(seed)
+        runs.append((out.data, [r.weights for r in records],
+                     [inp.grad] + [params[n].grad for n in sorted(params)]))
+    out, weights, grads = runs[0]
+    for other_out, other_weights, other_grads in runs[1:]:
+        assert np.array_equal(other_out, out)
+        assert all(np.array_equal(a, b) for a, b in zip(other_weights, weights))
+        for a, b in zip(other_grads, grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def test_rejects_wrong_channel_count():
