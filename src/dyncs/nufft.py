@@ -67,8 +67,11 @@ def _forward(ex, ey, z):
 
 
 def _adjoint(ex, ey, x):
-    """Unscaled adjoint transform of x [..., T, S*m] -> [..., T,H,W]."""
-    return ex.conj().swapaxes(1, 2) @ (x[..., None] * ey.conj())
+    """Unscaled adjoint transform of x [..., T, S*m] -> [..., T,H,W], as
+    conj(ex^T @ (conj(x) * ey)): one conjugate of x and one of the result,
+    and none of the phase tables."""
+    out = ex.swapaxes(-1, -2) @ (x.conj()[..., None] * ey)
+    return np.conjugate(out, out=out)
 
 
 def _coord_term(a, z, ez, exs, ey, ys):

@@ -12,8 +12,11 @@ partition, transformer block `_block_forward`, unpartition, crop, residual
 conv; conv_out) and `_net_backward` walks those stages in reverse. Each
 transformer block runs over chunks of the window axis, sized by
 `_CHUNK_BYTES`, so its [windows, heads, N, N] attention arrays never exist
-for all windows at once; windows are independent, so this is exact. The node
-keeps only the block and conv inputs; each block's backward recomputes its
+for all windows at once; windows are independent, so this is exact. Inside a
+chunk the logits are key-major, [windows, heads, N_k, N_q], so the softmax
+reduces over rows of the array rather than along its short last axis;
+recorded attention is transposed back to one query per row. The node keeps
+only the block and conv inputs; each block's backward recomputes its
 attention and MLP activations one chunk at a time. Pad tokens are masked as
 attention keys.
 """
@@ -61,8 +64,9 @@ class ReconConfig:
 
 @dataclass
 class AttentionRecord:
-    """Per-window softmax matrices [n_windows, heads, tokens, tokens] plus
-    the window-grid geometry needed to locate each window in the volume."""
+    """Per-window softmax matrices [n_windows, heads, N_q, N_k], one query's
+    distribution over the keys per row, plus the window-grid geometry needed
+    to locate each window in the volume."""
     weights: np.ndarray
     window: tuple
     grid: tuple        # (n_t, n_h, n_w) windows along each axis
@@ -90,18 +94,33 @@ def window_unpartition(tokens, window, shape):
 
 
 def _softmax(x):
-    """Softmax over the last axis, in one new array; x is left unchanged."""
-    e = x - x.max(axis=-1, keepdims=True)
+    """Softmax over axis -2, the key axis of [..., N_k, N_q] logits, in one
+    new array; x is left unchanged. The max runs over rows of the array and
+    the column sums are one BLAS product with a ones vector: numpy reduces a
+    short contiguous last axis several times slower."""
+    e = x - x.max(axis=-2, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e *= (1.0 / (np.ones(e.shape[-2]) @ e))[..., None, :]
     return e
+
+
+def _mean(x):
+    """Mean over the last axis, kept as a length-1 axis: a product with a
+    1/C vector, which BLAS does faster than numpy's reduction of short rows."""
+    return (x @ np.full(x.shape[-1], 1.0 / x.shape[-1]))[..., None]
+
+
+def _colsum(a):
+    """Sum of a [..., C] over every axis but the last, as one BLAS product."""
+    a = _flat(a)
+    return np.ones(len(a)) @ a
 
 
 def _layer_norm(x, gamma, beta, eps=1e-5):
     """Normalize over the last axis, then apply the affine map; returns
     (out, xhat, 1/std), the last two for `_layer_norm_backward`."""
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat = x - _mean(x)
+    inv = 1.0 / np.sqrt(_mean(xhat * xhat) + eps)
     xhat *= inv
     return xhat * gamma + beta, xhat, inv
 
@@ -109,10 +128,11 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
 def _layer_norm_backward(g, gamma, xhat, inv):
     """Gradients (x, gamma, beta) of `_layer_norm` for upstream g."""
     gh = g * gamma
-    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-    axes = tuple(range(g.ndim - 1))
-    return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+    gx = xhat * _mean(gh * xhat)
+    gx += _mean(gh)
+    np.subtract(gh, gx, out=gx)
+    gx *= inv
+    return gx, _colsum(g * xhat), _colsum(g)
 
 
 def _flat(a):
@@ -122,24 +142,27 @@ def _flat(a):
 
 def _attention(x, wqkv, bqkv, wo, bo, heads, mask=None):
     """Multi-head self-attention within each window of x [n_windows, N, C];
-    `mask`, if given, is added to the logits ([n_windows, 1, 1, N], -inf on
+    `mask`, if given, is added to the logits ([n_windows, 1, N, 1], -inf on
     the keys to ignore).
 
-    Returns (out, (q, k, v, weights, heads_out)); `weights` is the softmax
-    [n_windows, heads, N, N] and `heads_out` the attention output [n_windows,
-    N, C] before the output projection.
+    The logits are laid out key-major, k @ q^T [n_windows, heads, N_k, N_q],
+    with 1/sqrt(d) folded into q, so the softmax runs over axis -2.
+    Returns (out, (q/sqrt(d), k, v, weights, heads_out)); `weights` is the
+    softmax in that [n_windows, heads, N_k, N_q] layout, so column j holds
+    query j's distribution over the keys, and `heads_out` the attention
+    output [n_windows, N, C] before the output projection.
     """
     nw, n, c = x.shape
     d = c // heads
     qkv = x @ wqkv + bqkv  # [nw,N,3C]
     q, k, v = (qkv[:, :, i * c:(i + 1) * c].reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
                for i in range(3))  # [nw,h,N,d]
-    logits = q @ k.transpose(0, 1, 3, 2)
-    logits *= 1.0 / np.sqrt(d)
+    q = q * (1.0 / np.sqrt(d))
+    logits = k @ q.transpose(0, 1, 3, 2)
     if mask is not None:
         logits += mask
     weights = _softmax(logits)
-    heads_out = (weights @ v).transpose(0, 2, 1, 3).reshape(nw, n, c)
+    heads_out = (weights.transpose(0, 1, 3, 2) @ v).transpose(0, 2, 1, 3).reshape(nw, n, c)
     return heads_out @ wo + bo, (q, k, v, weights, heads_out)
 
 
@@ -151,22 +174,24 @@ def _attention_backward(g, x, wqkv, wo, acts, heads, param_grads=True):
     nw, n, c = x.shape
     d = c // heads
     gh = (g @ wo.T).reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
-    gv = weights.transpose(0, 1, 3, 2) @ gh
-    # softmax backward: the row term sum_j gw_ij w_ij is gh_i . o_i, with o
-    # the per-head output (FlashAttention-2's D), so no N x N product is built
+    gv = weights @ gh
+    # softmax backward, key-major like the weights: the term sum_k gw_kq w_kq
+    # of query q is gh_q . o_q, with o the per-head output (FlashAttention-2's
+    # D), so no N x N product is built
     o = heads_out.reshape(nw, n, heads, d).transpose(0, 2, 1, 3)
-    gw = gh @ v.transpose(0, 1, 3, 2)
-    gw -= (gh * o).sum(axis=-1, keepdims=True)
-    gw *= weights  # the logits' gradient, up to the 1/sqrt(d) scale
-    scale = 1.0 / np.sqrt(d)
-    gq = (gw @ k) * scale
-    gk = (gw.transpose(0, 1, 3, 2) @ q) * scale
-    gqkv = np.concatenate([t.transpose(0, 2, 1, 3).reshape(nw, n, c) for t in (gq, gk, gv)],
-                          axis=-1)
+    gw = v @ gh.transpose(0, 1, 3, 2)
+    gw -= np.einsum("whqd,whqd->whq", gh, o)[:, :, None, :]
+    gw *= weights  # the logits' gradient
+    gq = (gw.transpose(0, 1, 3, 2) @ k) * (1.0 / np.sqrt(d))
+    gk = gw @ q  # q carries the 1/sqrt(d) scale
+    gqkv = np.empty((nw, n, 3, heads, d))
+    for i, t in enumerate((gq, gk, gv)):
+        gqkv[:, :, i] = t.transpose(0, 2, 1, 3)
+    gqkv = gqkv.reshape(nw, n, 3 * c)
     if not param_grads:
         return gqkv @ wqkv.T, None, None, None, None
-    return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), gqkv.sum(axis=(0, 1)),
-            _flat(heads_out).T @ _flat(g), g.sum(axis=(0, 1)))
+    return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), _colsum(gqkv),
+            _flat(heads_out).T @ _flat(g), _colsum(g))
 
 
 # the parameters of one transformer block, in the order of `_block_forward`'s P
@@ -181,7 +206,7 @@ def _block_forward(x, P, heads, mask=None):
 
     P holds the BLOCK_PARAMS arrays in order. Returns (out, acts), where
     `acts` are the activations `_block_backward` needs; acts[2][3] are the
-    softmax weights.
+    softmax weights, key-major as in `_attention`.
     """
     g1, b1, wqkv, bqkv, wo, bo, g2, b2, w1, c1, w2, c2 = P
     n1, xhat1, inv1 = _layer_norm(x, g1, b1)
@@ -209,8 +234,8 @@ def _block_backward(g, x, P, heads, mask=None, param_grads=True):
     gx += gy1
     if not param_grads:
         return (gx,) + (None,) * len(P)
-    return (gx, gg1, gb1, *gatt, gg2, gb2, _flat(n2).T @ _flat(ghid), ghid.sum(axis=(0, 1)),
-            _flat(hid).T @ _flat(g), g.sum(axis=(0, 1)))
+    return (gx, gg1, gb1, *gatt, gg2, gb2, _flat(n2).T @ _flat(ghid), _colsum(ghid),
+            _flat(hid).T @ _flat(g), _colsum(g))
 
 
 def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
@@ -261,8 +286,9 @@ def window_grid(shape, window):
 
 def _window_geometry(shape, window):
     """(np.pad widths, crop, pad-key logit mask or None) that pad a [C,T,H,W]
-    volume symmetrically to the window grid. Each axis pads by less than its
-    window extent, so every window keeps a real token."""
+    volume symmetrically to the window grid. The mask is [n_windows, 1, N, 1],
+    -inf on the pad keys, for `_attention`'s key-major logits. Each axis pads
+    by less than its window extent, so every window keeps a real token."""
     pads = [(0, 0)]
     for size, win in zip(shape[1:], window):
         extra = (-size) % win
@@ -272,7 +298,7 @@ def _window_geometry(shape, window):
         return pads, crop, None
     is_pad = window_partition(np.pad(np.zeros((1,) + shape[1:]), pads, constant_values=1.0),
                               window)[:, :, 0]
-    return pads, crop, np.where(is_pad > 0, -np.inf, 0.0)[:, None, None, :]
+    return pads, crop, np.where(is_pad > 0, -np.inf, 0.0)[:, None, :, None]
 
 
 def _block_params(P, i):
@@ -303,7 +329,9 @@ def _net_forward(x, P, cfg: ReconConfig, record):
 
     Each block runs over `_chunks` of its windows, so its attention arrays
     exist one chunk at a time; only the softmax weights of a recorded block
-    are kept whole. The backward recomputes every other block activation."""
+    are kept whole, transposed to [windows, heads, N_q, N_k] so that each
+    row is one query's distribution. The backward recomputes every other
+    block activation."""
     h = ad.conv3d_forward(x, P["conv_in.w"]) + P["conv_in.b"]
     pads, crop, mask = _window_geometry(h.shape, cfg.window)
     saved, records = [], []
@@ -314,7 +342,7 @@ def _net_forward(x, P, cfg: ReconConfig, record):
         for s, m in _chunks(tokens, cfg.heads, mask):
             win[s], acts = _block_forward(tokens[s], _block_params(P, i), cfg.heads, m)
             if record:
-                weights.append(acts[2][3])
+                weights.append(acts[2][3].transpose(0, 1, 3, 2))
         if record:
             records.append(AttentionRecord(np.concatenate(weights), cfg.window,
                                            window_grid(h.shape[1:], cfg.window),

@@ -91,7 +91,8 @@ def test_non_finite_seed_rejected():
 # -- softmax / layer_norm values (the numpy helpers of recon's block node) -----
 
 def test_softmax_constant_row_uniform():
-    out = _softmax(np.full((2, 5), 3.0))
+    # _softmax normalizes axis -2 (the key axis of key-major logits)
+    out = _softmax(np.full((2, 5), 3.0).T).T
     np.testing.assert_allclose(out, 1.0 / 5.0)
 
 
@@ -108,7 +109,7 @@ def test_softmax_matches_direct_formula():
     x = rng.normal(size=(8,))
     expected = np.exp(x - x.max())
     expected /= expected.sum()
-    np.testing.assert_allclose(_softmax(x[None])[0], expected, atol=1e-12)
+    np.testing.assert_allclose(_softmax(x[:, None])[:, 0], expected, atol=1e-12)
 
 
 def test_layer_norm_identity_on_normalized_row():

@@ -107,9 +107,9 @@ def test_per_frame_values_match_single_frame_calls(metric, phantom):
 
 
 def test_fsim_per_frame_values_match_across_frame_chunks():
-    # at 64x64 the filter bank runs over chunks of two frames, so this stack
-    # is one chunk of two and one of a single frame
-    ref = gen_phantom(PhantomSpec(grid=(64, 64), frames=3, seed=1))
+    # at 32x32 the filter bank runs over chunks of four frames, so this stack
+    # is one chunk of four and one of a single frame
+    ref = gen_phantom(PhantomSpec(grid=(32, 32), frames=5, seed=1))
     x = np.stack([ndimage.gaussian_filter(f, 1.0) for f in ref])
     ref[:, 0, 0] = x[:, 0, 0] = ref.max()
     _, per_frame = fsim(x, ref)

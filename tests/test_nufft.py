@@ -66,6 +66,28 @@ def test_forward_matches_loop_oracle():
         np.testing.assert_allclose(out, _forward_oracle(z, coords), atol=1e-12)
 
 
+def _adjoint_oracle(x, coords, h, w):
+    """Direct sum 1/(H*W) * sum_j X_j * exp(+i (kx*x + ky*y)) per frame."""
+    xs = np.arange(h) - h // 2
+    ys = np.arange(w) - w // 2
+    out = np.zeros((coords.shape[0], h, w), dtype=np.complex128)
+    for idx in np.ndindex(coords.shape[:-1]):
+        kx, ky = coords[idx]
+        for i, xv in enumerate(xs):
+            for j, yv in enumerate(ys):
+                out[idx[0], i, j] += x[idx] * np.exp(1j * (kx * xv + ky * yv))
+    return out / (h * w)
+
+
+def test_adjoint_matches_loop_oracle():
+    rng = np.random.default_rng(15)
+    for h, w in ((5, 4), (6, 7)):
+        coords = _random_coords(rng, (2, 2, 3))
+        x = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+        img = nudft_adjoint(x, coords, (2, h, w))
+        np.testing.assert_allclose(img, _adjoint_oracle(x, coords, h, w), atol=1e-12)
+
+
 def test_adjoint_of_scaled_dc_sample_is_constant_one():
     h, w = 4, 5
     coords = np.zeros((1, 1, 1, 2))

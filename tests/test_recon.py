@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncs import autodiff as ad
 from dyncs import recon
@@ -90,7 +92,8 @@ def test_two_token_window_matches_hand_computed_softmax():
     logits = q @ k.T / np.sqrt(c)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
-    np.testing.assert_allclose(acts[3][0, 0], attn, atol=1e-12)
+    # the weights are key-major, [windows, heads, N_k, N_q]
+    np.testing.assert_allclose(acts[3][0, 0].T, attn, atol=1e-12)
     np.testing.assert_allclose(out[0], attn @ v @ wo + bo, atol=1e-12)
 
 
@@ -127,6 +130,52 @@ def test_no_cross_window_leakage():
     out_z, _ = _attention(zeroed, *params, heads=2)
     assert np.array_equal(out[0], out_z[0])
     assert np.array_equal(out[2], out_z[2])
+
+
+def _dense_attention(x, wqkv, bqkv, wo, bo, heads, is_pad):
+    """softmax(Q K^T / sqrt(d) + mask) V per window and head, one query row
+    per token; returns (out, weights [n_windows, heads, N_q, N_k])."""
+    nw, n, c = x.shape
+    d = c // heads
+    out = np.zeros_like(x)
+    weights = np.zeros((nw, heads, n, n))
+    for w in range(nw):
+        qkv = x[w] @ wqkv + bqkv
+        heads_out = np.zeros((n, c))
+        for h in range(heads):
+            q, k, v = (qkv[:, j * c + h * d:j * c + (h + 1) * d] for j in range(3))
+            logits = q @ k.T / np.sqrt(d) + np.where(is_pad[w], -np.inf, 0.0)
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            weights[w, h] = e / e.sum(axis=-1, keepdims=True)
+            heads_out[:, h * d:(h + 1) * d] = weights[w, h] @ v
+        out[w] = heads_out @ wo + bo
+    return out, weights
+
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 3), st.integers(1, 3))
+def test_attention_matches_dense_per_window_softmax(data, nw, n, heads, d):
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    c = heads * d
+    x = rng.normal(size=(nw, n, c))
+    wqkv, bqkv, wo, bo = (rng.normal(size=s) for s in ((c, 3 * c), (3 * c,), (c, c), (c,)))
+    # pad keys, each window keeping at least one real key
+    is_pad = rng.random((nw, n)) < data.draw(st.floats(0.0, 0.9))
+    is_pad[np.arange(nw), rng.integers(0, n, nw)] = False
+    mask = np.where(is_pad, -np.inf, 0.0)[:, None, :, None]
+    out, acts = _attention(x, wqkv, bqkv, wo, bo, heads, mask if is_pad.any() else None)
+    ref_out, ref_weights = _dense_attention(x, wqkv, bqkv, wo, bo, heads, is_pad)
+    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(acts[3].transpose(0, 1, 3, 2), ref_weights, rtol=0, atol=1e-12)
+
+    # the recorded weights are one query per row, whatever the internal layout
+    window = (data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3)))
+    shape = tuple(data.draw(st.integers(1, 4)) for _ in range(3))
+    cfg = ReconConfig(channels=c, n_blocks=1, heads=heads, window=window)
+    _, (record,) = recon_forward(Tensor(rng.normal(size=(2,) + shape)), cfg,
+                                 _perturbed_params(cfg, rng), record_attention=True)
+    np.testing.assert_allclose(record.weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 # -- full network --------------------------------------------------------------------
@@ -292,7 +341,7 @@ def test_transformer_block_matches_composed_reference():
     out, acts = _block_forward(tokens, [params[f"block0.{n}"].data for n in BLOCK_PARAMS], 4)
     expected = _block_reference(tokens, {n: params[f"block0.{n}"].data for n in BLOCK_PARAMS}, 4)
     assert np.max(np.abs(out - expected)) < 1e-14 * np.max(np.abs(expected))
-    weights = acts[2][3]
+    weights = acts[2][3].transpose(0, 1, 3, 2)  # key-major -> [.., N_q, N_k]
     assert weights.shape == (5, 4, 16, 16)
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
 
