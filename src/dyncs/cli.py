@@ -34,10 +34,6 @@ class UsageError(ValueError):
     pass
 
 
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write_manifest(run_dir, command, config, input_hashes):
     manifest = {
         "command": command,
@@ -71,7 +67,12 @@ def _write_history(path, history, keep_stage=None):
 
 
 def _dataset_hash(data_dir):
-    return _sha256(Path(data_dir) / dz.MANIFEST_NAME)
+    return hashlib.sha256((Path(data_dir) / dz.MANIFEST_NAME).read_bytes()).hexdigest()
+
+
+def _check_metric_frames(volumes):
+    if volumes and min(volumes[0].shape[1:]) < qm.VIF_MIN_SIDE:
+        raise UsageError(f"the metrics need frames of at least {qm.VIF_MIN_SIDE} px a side")
 
 
 # -- commands -----------------------------------------------------------------
@@ -243,6 +244,7 @@ def cmd_stack_eval(args, plain=False):
     manifest, rcfg, params, traj = _load_run(args.run, not args.use_pre_refine)
     k = manifest["config"]["frames_k"]
     volumes = dz.load_dataset(args.data)
+    _check_metric_frames(volumes)
     total = k if plain else args.total_frames
 
     out_dir = Path(args.out) if args.out else Path(args.run) / f"eval_{total}"
@@ -250,7 +252,7 @@ def cmd_stack_eval(args, plain=False):
 
     reports, recons, mus = [], [], []
     for v in volumes:
-        z = _tile_to_length(v, total)
+        z = np.resize(v, (total,) + v.shape[1:])  # repeated or cut to total frames
         res = pl.evaluate_stacked(traj, params, rcfg, z, k)
         reports.append(res.metrics)
         recons.append(res.reconstruction)
@@ -273,17 +275,6 @@ def cmd_stack_eval(args, plain=False):
     print(json.dumps(summary, indent=2))
 
 
-def _tile_to_length(volume, total):
-    if volume.shape[0] >= total:
-        return volume[:total]
-    reps = -(-total // volume.shape[0])
-    return np.tile(volume, (reps, 1, 1))[:total]
-
-
-def cmd_eval(args):
-    cmd_stack_eval(args, plain=True)
-
-
 def cmd_export(args):
     run_dir = Path(args.run)
     manifest, rcfg, params, traj = _load_run(run_dir, refined=True)
@@ -299,6 +290,8 @@ def cmd_export(args):
         raise UsageError(f"--block must lie in [0, {rcfg.n_blocks})")
     volumes = dz.load_dataset(args.data)
     k = manifest["config"]["frames_k"]
+    if volumes[0].shape[0] < k:
+        raise UsageError(f"attention export needs volumes with at least {k} frames")
     z = volumes[0][:k]
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
     try:  # the padded window grid depends only on the volume shape
@@ -316,6 +309,9 @@ def cmd_metrics(args):
     b = dz.load_dataset(args.b)
     if len(a) != len(b):
         raise UsageError("datasets differ in volume count")
+    if a and a[0].shape != b[0].shape:
+        raise UsageError(f"datasets differ in volume shape: {a[0].shape} vs {b[0].shape}")
+    _check_metric_frames(a)
     reports = [qm.metric_report(x, ref, peak=max(ref.max(), 1e-12))
                for x, ref in zip(a, b)]
     out = Path(args.out)
@@ -385,7 +381,7 @@ def build_parser():
         p.add_argument("--use-pre-refine", action="store_true")
         if not plain:
             p.add_argument("--total-frames", type=int, required=True)
-        p.set_defaults(func=cmd_eval if plain else cmd_stack_eval)
+        p.set_defaults(func=functools.partial(cmd_stack_eval, plain=plain))
 
     p = sub.add_parser("export", help="export trajectory or attention data")
     p.add_argument("--run", required=True)

@@ -54,18 +54,23 @@ def psnr_per_frame(x, ref, peak=1.0):
 
 # -- VIF (pixel domain) -------------------------------------------------------
 
+_VIF_SCALES = 4
+# the smallest frame side: each halving of the pyramid by [::2] leaves >= 3 px
+VIF_MIN_SIDE = 2 ** _VIF_SCALES + 1
+
+
 def _vif_frames(ref, dist, sigma_nsq=2.0, eps=1e-10):
     """VIF of each frame of dist [T,H,W] against the same frame of ref."""
+    if min(ref.shape[1:]) < VIF_MIN_SIDE:
+        raise MetricError(f"frame too small for the {_VIF_SCALES}-scale VIF pyramid")
     num = np.zeros(ref.shape[0])
     den = np.zeros(ref.shape[0])
-    for scale in range(1, 5):
-        n = 2 ** (4 - scale + 1) + 1
+    for scale in range(1, _VIF_SCALES + 1):
+        n = 2 ** (_VIF_SCALES - scale + 1) + 1
         sd = (0.0, n / 5.0, n / 5.0)  # a zero sigma leaves the frame axis alone
         if scale > 1:
             ref = ndimage.gaussian_filter(ref, sd)[:, ::2, ::2]
             dist = ndimage.gaussian_filter(dist, sd)[:, ::2, ::2]
-        if min(ref.shape[1:]) < 3:
-            raise MetricError("frame too small for the 4-scale VIF pyramid")
         mu1 = ndimage.gaussian_filter(ref, sd)
         mu2 = ndimage.gaussian_filter(dist, sd)
         sigma1_sq = ndimage.gaussian_filter(ref * ref, sd) - mu1 * mu1
@@ -133,11 +138,10 @@ def _log_gabor_bank(h, w, scales=4, orientations=4, wavelength=6.0,
         dtheta = np.arctan2(ds, dc)
         angular = np.exp(-dtheta ** 2 / (2.0 * sigma_theta ** 2))
         filters = np.stack([lg * angular for lg in radial])
-        # noise-threshold moments; they depend on the filters only
+        # noise-threshold moments, of the filters only; sum_ij <m_i, m_j> = |sum_i m_i|^2
         expect_m2 = np.mean(filters[0] ** 2)
-        spatial = [np.real(fft.ifft2(f)) for f in filters]
-        expect_mimj = np.sum([np.sum(mi * mj) for mi in spatial for mj in spatial])
-        bank.append((filters, expect_m2, expect_mimj))
+        spatial = np.real(fft.ifft2(filters.sum(axis=0)))
+        bank.append((filters, expect_m2, np.sum(spatial * spatial)))
     return bank
 
 

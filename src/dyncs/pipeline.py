@@ -6,12 +6,12 @@ One training loop (`_fit`) serves both stages on the trajectory's coordinate
 array, which `project_kinematic` clips and projects after every update. One
 acquisition path serves main training, refinement, validation and stacked
 evaluation alike: `_acquire_windows` acquires every k-frame window of a list
-of sequences with the k-frame trajectory in one `acquire` call, and
-`_reconstruct` runs the network on each window of one sequence. An optimizer
-step acquires its whole mini-batch at once but differentiates the network
-one sample at a time. The losses take numpy arrays and return their value
-and gradient in closed form; the gradient's k-frame slices seed the backward
-of each window's network node.
+of sequences with the k-frame trajectory in one `acquire` call, one leaf per
+window, and `_reconstruct` runs the network forward only for validation and
+stacked evaluation. An optimizer step acquires its whole mini-batch at once
+but differentiates the network one sample at a time. The losses take numpy
+arrays and return their value and gradient in closed form; the gradient's
+k-frame slices seed the backward of each window's network node.
 """
 
 from __future__ import annotations
@@ -131,24 +131,23 @@ def _acquire_windows(seqs, coords_t):
     """Acquire every k-frame window of the sequences `seqs` with the k-frame
     trajectory `coords_t` (k = coords_t.shape[0]), the last window of each
     zero-padded to k frames, in one `acquire` call, so the trajectory's phase
-    tables are built once per pass. Returns the regridded windows
-    [n_windows, 2,k,H,W] and each sequence's slice of them."""
+    tables are built once per pass. Returns the acquisition node
+    [n_windows, 2,k,H,W] and each sequence's list of window leaves, which
+    require grad exactly when the node does."""
     windows = [partition_frames(z, coords_t.shape[0]) for z in seqs]
-    ends = np.cumsum([len(w) for w in windows])
-    spans = [slice(end - len(w), end) for w, end in zip(windows, ends)]
-    return acquire(np.stack([u for w in windows for u in w]), coords_t), spans
+    regrid = acquire(np.stack([u for w in windows for u in w]), coords_t)
+    leaves = iter(Tensor(u, requires_grad=regrid.requires_grad) for u in regrid.data)
+    return regrid, [[next(leaves) for _ in w] for w in windows]
 
 
-def _reconstruct(windows, net, rcfg):
-    """Reconstruct each regridded window Tensor [2,k,H,W] of one sequence:
-    (the windows' network nodes, their outputs concatenated [n_windows*k, H,W])."""
-    nodes = [recon_forward(w, rcfg, net)[0] for w in windows]
-    return nodes, np.concatenate([node.data for node in nodes])
-
-
-def _constants(params):
-    """The network parameters as constants, so no graph tracks them."""
-    return {name: Tensor(p.data) for name, p in params.items()}
+def _reconstruct(seqs, coords, params, rcfg):
+    """Reconstruct each sequence of `seqs` forward only, window by window,
+    with the k-frame coordinate array `coords`: one array [n_windows*k, H,W]
+    per sequence. Only each window's output is kept, so its network node is
+    freed at once."""
+    _, leaves = _acquire_windows(seqs, Tensor(coords))
+    return [np.concatenate([recon_forward(w, rcfg, params)[0].data for w in windows])
+            for windows in leaves]
 
 
 # -- training -----------------------------------------------------------------
@@ -175,9 +174,9 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
     on the trajectory coords, which are re-projected onto the feasible set
     after every update. `loss_fn(z_hat, z)` returns the per-sample loss of
     the reconstruction array `z_hat` of the sample z and its gradient in
-    `z_hat`. The validation loss is its mean over the held-out samples on
-    frozen coords and constant parameters. History records one row per
-    epoch. Deterministic given `seed`.
+    `z_hat`. The validation loss is its mean over the held-out samples,
+    reconstructed forward only. History records one row per epoch.
+    Deterministic given `seed`.
 
     A step acquires its mini-batch in one `acquire` call. Each sample then
     reconstructs every window from its own leaf, and each window node's
@@ -195,13 +194,16 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
 
     net_states = None if lr_net is None else {
         name: AdamState.init(p.shape, lr_net) for name, p in params.items()}
-    net = params if net_states is not None else _constants(params)
+    net = params if net_states is not None else {
+        name: Tensor(p.data) for name, p in params.items()}
     traj_state = AdamState.init(coords.shape, lr_traj) if (
         trajectory.learnable and lr_traj > 0) else None
     if epochs > 0 and net_states is None and traj_state is None:
         raise AutodiffError(f"nothing to train in the {stage} stage: the network "
                             "and the trajectory are both frozen")
 
+    for p in params.values():
+        p.grad = None
     history = []
     for epoch in range(epochs):
         order = list(train_idx)
@@ -211,32 +213,26 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
         for start in range(0, len(order), tcfg.batch):
             batch = order[start:start + tcfg.batch]
             coords_t = Tensor(coords, requires_grad=traj_state is not None)
-            for name in sorted(params):
-                params[name].grad = None
-            regrid, spans = _acquire_windows([volumes[i] for i in batch], coords_t)
-            leaves = []
-            for i, span in zip(batch, spans):
-                windows = [Tensor(w, requires_grad=regrid.requires_grad)
-                           for w in regrid.data[span]]
-                nodes, z_hat = _reconstruct(windows, net, rcfg)
-                loss, grad = loss_fn(z_hat, volumes[i])
+            regrid, leaves = _acquire_windows([volumes[i] for i in batch], coords_t)
+            for i, windows in zip(batch, leaves):
+                nodes = [recon_forward(w, rcfg, net)[0] for w in windows]
+                loss, grad = loss_fn(np.concatenate([node.data for node in nodes]),
+                                     volumes[i])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"loss became non-finite during {stage} epoch {epoch}")
                 epoch_losses.append(loss)
                 for node, g in zip(nodes, np.split(grad, len(nodes))):
                     node.backward(g)
-                leaves += windows
             if regrid.requires_grad:
-                regrid.backward(np.stack([leaf.grad for leaf in leaves]))
+                regrid.backward(np.stack([w.grad for ws in leaves for w in ws]))
             scale = 1.0 / len(batch)
             if net_states is not None:
                 for name in sorted(params):
                     p = params[name]
-                    if p.grad is not None:
-                        p.data, net_states[name] = adam_step(
-                            p.data, p.grad * scale, net_states[name])
-                        p.grad = None
+                    p.data, net_states[name] = adam_step(p.data, p.grad * scale,
+                                                         net_states[name])
+                    p.grad = None
             if traj_state is not None:
                 coords, traj_state = adam_step(coords, coords_t.grad * scale, traj_state)
                 coords = project_kinematic(coords, bounds)
@@ -245,11 +241,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
         vals = []
         if val_idx:
             val = [volumes[i] for i in val_idx]
-            regrid, spans = _acquire_windows(val, Tensor(coords))
-            constants = _constants(params)
-            vals = [loss_fn(_reconstruct(map(Tensor, regrid.data[span]), constants,
-                                         rcfg)[1], z)[0]
-                    for z, span in zip(val, spans)]
+            vals = [loss_fn(z_hat, z)[0]
+                    for z_hat, z in zip(_reconstruct(val, coords, params, rcfg), val)]
         history.append({"epoch": epoch, "stage": stage,
                         "train_loss": float(np.mean(epoch_losses)),
                         "val_loss": float(np.mean(vals)) if vals else float("nan"),
@@ -310,8 +303,7 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     t_total = z_long.shape[0]
     if trajectory.n_frames != k:
         raise AutodiffError("trajectory frame count must equal k")
-    regrid, _ = _acquire_windows([z_long], Tensor(trajectory.coords))
-    recon = _reconstruct(map(Tensor, regrid.data), _constants(params), rcfg)[1][:t_total]
+    recon = _reconstruct([z_long], trajectory.coords, params, rcfg)[0][:t_total]
     mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)
     report = qm.metric_report(recon, z_long, peak=max(z_long.max(), 1e-12))
     return EvalResult(reconstruction=recon, mu=mu, metrics=report)

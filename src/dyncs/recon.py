@@ -166,10 +166,9 @@ def _attention(x, wqkv, bqkv, wo, bo, heads, mask=None):
     return heads_out @ wo + bo, (q, k, v, weights, heads_out)
 
 
-def _attention_backward(g, x, wqkv, wo, acts, heads, param_grads=True):
+def _attention_backward(g, x, wqkv, wo, acts, heads):
     """Gradients (x, wqkv, bqkv, wo, bo) of `_attention` for upstream g,
-    from the activations `acts` of its forward; without `param_grads` only
-    x's, and None for each parameter's."""
+    from the activations `acts` of its forward."""
     q, k, v, weights, heads_out = acts
     nw, n, c = x.shape
     d = c // heads
@@ -188,8 +187,6 @@ def _attention_backward(g, x, wqkv, wo, acts, heads, param_grads=True):
     for i, t in enumerate((gq, gk, gv)):
         gqkv[:, :, i] = t.transpose(0, 2, 1, 3)
     gqkv = gqkv.reshape(nw, n, 3 * c)
-    if not param_grads:
-        return gqkv @ wqkv.T, None, None, None, None
     return (gqkv @ wqkv.T, _flat(x).T @ _flat(gqkv), _colsum(gqkv),
             _flat(heads_out).T @ _flat(g), _colsum(g))
 
@@ -218,10 +215,9 @@ def _block_forward(x, P, heads, mask=None):
     return y1 + (hid @ w2 + c2), ((xhat1, inv1), n1, att_acts, (xhat2, inv2), n2, hid)
 
 
-def _block_backward(g, x, P, heads, mask=None, param_grads=True):
+def _block_backward(g, x, P, heads, mask=None):
     """Gradients of `_block_forward` for upstream g: the input's, then each
-    of P's (None without `param_grads`). Recomputes the forward's
-    activations from x and P."""
+    of P's. Recomputes the forward's activations from x and P."""
     g1, _, wqkv, _, wo, _, g2, _, w1, _, w2, _ = P
     _, (ln1, n1, att_acts, ln2, n2, hid) = _block_forward(x, P, heads, mask)
     # MLP and LN2; the residual adds g
@@ -229,11 +225,9 @@ def _block_backward(g, x, P, heads, mask=None, param_grads=True):
     gy1, gg2, gb2 = _layer_norm_backward(ghid @ w1.T, g2, *ln2)
     gy1 += g
     # attention and LN1; the residual adds gy1
-    gn1, *gatt = _attention_backward(gy1, n1, wqkv, wo, att_acts, heads, param_grads)
+    gn1, *gatt = _attention_backward(gy1, n1, wqkv, wo, att_acts, heads)
     gx, gg1, gb1 = _layer_norm_backward(gn1, g1, *ln1)
     gx += gy1
-    if not param_grads:
-        return (gx,) + (None,) * len(P)
     return (gx, gg1, gb1, *gatt, gg2, gb2, _flat(n2).T @ _flat(ghid), _colsum(ghid),
             _flat(hid).T @ _flat(g), _colsum(g))
 
@@ -244,38 +238,30 @@ def init_recon_params(cfg: ReconConfig, rng: np.random.Generator) -> dict:
     hidden = int(round(c * cfg.mlp_ratio))
 
     def normal(shape, fan_in):
-        return Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape),
-                      requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
     # output conv starts at zero so the untrained network is the zero map;
     # residual conv branches start small to keep early activations tame
     params = {
         "conv_in.w": normal((c, 2, 3, 3, 3), 2 * 27),
-        "conv_in.b": zeros((c, 1, 1, 1)),
-        "conv_out.w": zeros((1, c, 3, 3, 3)),
-        "conv_out.b": zeros((1, 1, 1, 1)),
+        "conv_in.b": np.zeros((c, 1, 1, 1)),
+        "conv_out.w": np.zeros((1, c, 3, 3, 3)),
+        "conv_out.b": np.zeros((1, 1, 1, 1)),
     }
     for i in range(cfg.n_blocks):
         p = f"block{i}"
         params.update({
-            f"{p}.ln1.g": ones((c,)), f"{p}.ln1.b": zeros((c,)),
-            f"{p}.ln2.g": ones((c,)), f"{p}.ln2.b": zeros((c,)),
-            f"{p}.attn.wqkv": normal((c, 3 * c), c), f"{p}.attn.bqkv": zeros((3 * c,)),
-            f"{p}.attn.wo": normal((c, c), c), f"{p}.attn.bo": zeros((c,)),
-            f"{p}.mlp.w1": normal((c, hidden), c), f"{p}.mlp.b1": zeros((hidden,)),
-            f"{p}.mlp.w2": normal((hidden, c), hidden), f"{p}.mlp.b2": zeros((c,)),
-            f"{p}.conv.w": Tensor(
-                rng.normal(0.0, 0.1 * np.sqrt(2.0 / (c * 27)), size=(c, c, 3, 3, 3)),
-                requires_grad=True),
-            f"{p}.conv.b": zeros((c, 1, 1, 1)),
+            f"{p}.ln1.g": np.ones((c,)), f"{p}.ln1.b": np.zeros((c,)),
+            f"{p}.ln2.g": np.ones((c,)), f"{p}.ln2.b": np.zeros((c,)),
+            f"{p}.attn.wqkv": normal((c, 3 * c), c), f"{p}.attn.bqkv": np.zeros((3 * c,)),
+            f"{p}.attn.wo": normal((c, c), c), f"{p}.attn.bo": np.zeros((c,)),
+            f"{p}.mlp.w1": normal((c, hidden), c), f"{p}.mlp.b1": np.zeros((hidden,)),
+            f"{p}.mlp.w2": normal((hidden, c), hidden), f"{p}.mlp.b2": np.zeros((c,)),
+            f"{p}.conv.w": rng.normal(0.0, 0.1 * np.sqrt(2.0 / (c * 27)),
+                                      size=(c, c, 3, 3, 3)),
+            f"{p}.conv.b": np.zeros((c, 1, 1, 1)),
         })
-    return params
+    return {name: Tensor(a, requires_grad=True) for name, a in params.items()}
 
 
 def window_grid(shape, window):
@@ -359,8 +345,9 @@ def _net_forward(x, P, cfg: ReconConfig, record):
 
 def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
     """Gradients of `_net_forward` for upstream g [T,H,W] from its `saved`
-    arrays: (the input's, None without `input_grad`; {name: gradient}, None
-    or missing without `param_grads`)."""
+    arrays: (the input's, None without `input_grad`; {name: gradient}).
+    Without `param_grads` the convolutions' weight and bias gradients are
+    skipped and missing from the dict; the blocks' are always taken."""
     pads, crop, mask = _window_geometry(x.shape, cfg.window)
     grads = {}
 
@@ -381,9 +368,8 @@ def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
         gwin, gp = np.empty_like(tokens), [0.0] * len(BLOCK_PARAMS)
         for s, m in _chunks(tokens, cfg.heads, mask):
             gwin[s], *gps = _block_backward(gtokens[s], tokens[s], _block_params(P, i),
-                                            cfg.heads, m, param_grads)
-            # summed over chunks in chunk order; all None without param_grads
-            gp = [a + b for a, b in zip(gp, gps)] if param_grads else gps
+                                            cfg.heads, m)
+            gp = [a + b for a, b in zip(gp, gps)]  # summed in chunk order
         grads.update((f"block{i}.{name}", gv) for name, gv in zip(BLOCK_PARAMS, gp))
         gh = window_unpartition(gwin, cfg.window, xp.shape)[crop]
         del xp, tokens, gtokens, gwin, gps  # before the next conv's im2col
@@ -395,9 +381,10 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
     """[2,T,H,W] regridded input -> ([T,H,W] reconstruction, attention records).
 
     One graph node whose parents are the input and every parameter, in
-    sorted name order. Its backward computes the parameters' gradients only
-    if one of them requires grad. With `record_attention` each block's
-    softmax weights come from that same forward pass.
+    sorted name order. Its backward skips the input's gradient if the input
+    is constant, and the convolutions' parameter gradients if the parameters
+    are. With `record_attention` each block's softmax weights come from that
+    same forward pass.
     """
     if z_regrid.shape[0] != 2:
         raise AutodiffError("expected a 2-channel (real, imag) input")

@@ -6,11 +6,12 @@ import shutil
 import pytest
 
 from dyncs import data as dz
+from dyncs import metrics as qm
 from dyncs import pipeline as pl
 from dyncs.cli import main
 from dyncs.data import load_dataset
 
-GRID = 24  # smallest grid that supports the 4-scale metric pyramid
+GRID = 24  # the 4-scale VIF pyramid needs frames of at least 17 px a side
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,15 @@ def _train_args(data, out, seed=0):
             "--batch", "2", "--seed", str(seed), "--frames-k", "4",
             "--channels", "4", "--blocks", "1", "--heads", "2",
             "--window", "2,2,2"]
+
+
+@pytest.fixture(scope="module")
+def small_frames(tmp_path_factory):
+    """Frames of 16 px a side, one short of what the VIF pyramid needs."""
+    path = tmp_path_factory.mktemp("ds16") / "data"
+    assert main(["gen-data", "--out", str(path), "--count", "3", "--grid", "16",
+                 "--frames", "8", "--seed", "1"]) == 0
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +276,22 @@ def test_stack_eval_invalid_total_frames_is_usage_error(run_dir, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["eval"], ["stack-eval", "--total-frames", "8"]])
+def test_eval_on_frames_too_small_for_the_metrics_is_usage_error(
+        small_frames, run_dir, tmp_path, capsys, monkeypatch, command):
+    # the frame size is checked before any reconstruction
+    def evaluate_stacked(*args, **kwargs):
+        raise AssertionError("reconstructed before the frame size was checked")
+
+    monkeypatch.setattr(pl, "evaluate_stacked", evaluate_stacked)
+    out = tmp_path / "eval"
+    rc = main(command + ["--run", str(run_dir), "--data", str(small_frames),
+                         "--out", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not out.exists()
+
+
 def test_stack_eval_marks_transitions(dataset, run_dir, tmp_path, capsys):
     out = tmp_path / "t8"
     assert main(["stack-eval", "--run", str(run_dir), "--data", str(dataset),
@@ -322,6 +348,40 @@ def test_export_attention_block_out_of_range_is_usage_error(dataset, run_dir, tm
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not (tmp_path / "attn.csv").exists()
+
+
+def test_export_attention_on_volumes_shorter_than_k_is_usage_error(run_dir, tmp_path,
+                                                                  capsys, monkeypatch):
+    short = tmp_path / "short"
+    assert main(["gen-data", "--out", str(short), "--count", "1", "--grid", str(GRID),
+                 "--frames", "2"]) == 0
+
+    def acquire(*args, **kwargs):
+        raise AssertionError("acquired before the frame count was checked")
+
+    monkeypatch.setattr(pl, "acquire", acquire)
+    rc = main(["export", "attention", "--run", str(run_dir), "--data", str(short),
+               "--out", str(tmp_path / "attn"), "--region-extent", "4"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "attn.csv").exists()
+
+
+@pytest.mark.parametrize("pair", ["shape mismatch", "small frames"])
+def test_metrics_on_mismatched_or_small_volumes_is_usage_error(
+        dataset, small_frames, tmp_path, capsys, monkeypatch, pair):
+    # 16 px frames against 24 px ones, or 16 px against 16 px; checked before
+    # any metric is computed
+    def metric_report(*args, **kwargs):
+        raise AssertionError("computed a metric before the volumes were checked")
+
+    monkeypatch.setattr(qm, "metric_report", metric_report)
+    reference = dataset if pair == "shape mismatch" else small_frames
+    rc = main(["metrics", "--a", str(small_frames), "--b", str(reference),
+               "--out", str(tmp_path / "report")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "report").exists()
 
 
 def test_metrics_command(dataset, tmp_path, capsys):

@@ -124,6 +124,28 @@ def test_adjoint_identity_property(data, t_frames, shots, m, h, w):
     assert abs(lhs - rhs) <= 1e-13 * np.abs(z).sum() * np.abs(x).sum()
 
 
+@settings(max_examples=60)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5),
+       st.integers(1, 6), st.integers(1, 6))
+def test_acquire_is_linear_self_adjoint_and_positive(data, t_frames, shots, m, h, w):
+    """acquire is linear in z, and its AᴴA is self-adjoint and positive
+    semidefinite: <u, AᴴA z> = <AᴴA u, z> and <z, AᴴA z> >= 0."""
+    coords = data.draw(hnp.arrays(np.float64, (t_frames, shots, m, 2),
+                                  elements=st.floats(-np.pi, np.pi)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    u, z = rng.normal(size=(2, t_frames, h, w))
+    a, b = rng.normal(size=2)
+    out = acquire(np.stack([u, z, a * u + b * z]), Tensor(coords)).data
+    au, az, amix = out[:, 0] + 1j * out[:, 1]
+    # each AᴴA entry sums shots*m samples of at most sum|z| each, over H*W
+    bound = shots * m * np.abs(u).sum() * np.abs(z).sum()
+    mix_bound = shots * m * (abs(a) * np.abs(u).sum() + abs(b) * np.abs(z).sum())
+    assert np.abs(amix - (a * au + b * az)).max() <= 1e-13 * mix_bound
+    assert abs(np.vdot(u, az) - np.vdot(au, z)) <= 1e-13 * bound
+    quad = np.vdot(z, az)
+    assert quad.real >= -1e-13 * bound and abs(quad.imag) <= 1e-13 * bound
+
+
 @settings(max_examples=100)
 @given(st.data(), st.integers(1, 9), st.integers(1, 9), st.integers(1, 6))
 def test_phase_tables_equal_the_complex_exponential(data, h, w, m):

@@ -1,6 +1,8 @@
 """Tests for the end-to-end pipeline: acquisition, losses, mu statistics,
 both training stages and stacked evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -471,6 +473,25 @@ def test_stacked_eval_reports_metrics(trained_small):
     z = gen_phantom(PhantomSpec(grid=(24, 24), frames=8, seed=12))
     res = pl.evaluate_stacked(result.trajectory, result.params, rcfg, z, k=4)
     assert set(res.metrics) >= {"psnr", "vif", "fsim"}
+
+
+def test_stacked_eval_keeps_no_window_nodes():
+    # forward only: each window's network node goes once its output is
+    # taken, so the 7 windows of T=27 never hold their block and conv inputs
+    # (~2.6 MB a window at c16/b2, grid 32) at once
+    rng = np.random.default_rng(25)
+    rcfg = ReconConfig()  # the CLI default, c16/b2
+    params = init_recon_params(rcfg, rng)  # trainable, as after training
+    z = gen_phantom(PhantomSpec(grid=(32, 32), frames=27, seed=3))
+    traj = init_radial(4, 8, 64)
+    tracemalloc.start()
+    try:
+        pl.evaluate_stacked(traj, params, rcfg, z, k=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # ~11 MB; ~27 MB when every window's node lives to the end of the pass
+    assert peak < 18e6
 
 
 # -- end-to-end gradients -------------------------------------------------------------

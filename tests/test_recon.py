@@ -426,6 +426,35 @@ def test_window_chunks_are_exact(monkeypatch, shape):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+@settings(max_examples=25)
+@given(st.data(), st.integers(1, 4), st.integers(1, 7), st.integers(1, 7),
+       st.integers(0, 2), st.booleans())
+def test_network_does_not_depend_on_the_chunk_size(data, t, h, w, n_blocks, trainable):
+    """Over one window per chunk, the default chunk and one chunk for all
+    windows, `_net_forward` is bit-equal and `_net_backward`'s gradients
+    agree to 1e-12 relative, with trainable and with constant parameters."""
+    cfg = _small_cfg(n_blocks=n_blocks)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    P = {name: p.data for name, p in _perturbed_params(cfg, rng).items()}
+    x = rng.normal(size=(2, t, h, w))
+    g = rng.normal(size=(t, h, w))
+    default, runs = recon._CHUNK_BYTES, []
+    try:
+        for chunk_bytes in (1, default, 2 ** 40):
+            recon._CHUNK_BYTES = chunk_bytes
+            out, saved, _ = recon._net_forward(x, P, cfg, False)
+            gx, grads = recon._net_backward(g, x, P, cfg, saved, True, trainable)
+            runs.append((out, [gx] + [grads[name] for name in sorted(grads)]))
+    finally:
+        recon._CHUNK_BYTES = default
+    out, grads = runs[0]
+    for other_out, other_grads in runs[1:]:
+        assert np.array_equal(other_out, out)
+        assert len(other_grads) == len(grads)
+        for a, b in zip(other_grads, grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 def test_rejects_wrong_channel_count():
     cfg = _small_cfg()
     params = init_recon_params(cfg, np.random.default_rng(12))
