@@ -49,7 +49,7 @@ class Tensor:
         gradient array (or None) per entry of `parents`. A parent that is
         itself a node is an error, so no gradient can stop at an inner node.
         """
-        if any(p._backward is not None for p in parents):
+        if any(p._backward is not None or p._done for p in parents):
             raise AutodiffError("a graph node's parents must be leaves, not nodes")
         out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
         if out.requires_grad:
@@ -129,13 +129,13 @@ def conv3d(x, w):
 def backward(output, seed=None):
     """Sweep the one node `output`: call its backward closure once under
     `seed` (ones by default) and add each gradient it returns to `.grad` of
-    its parent, if that parent requires grad. The node is consumed. Gradients
-    accumulate, so nodes sharing leaves (e.g. batch elements) can be swept in
-    turn."""
-    if output._backward is None:
-        raise AutodiffError("backward needs a graph node with a parent that requires grad")
+    its parent, if that parent requires grad. The node is consumed: it drops
+    its closure and parents, freeing what they hold. Gradients accumulate, so
+    nodes sharing leaves (e.g. batch elements) can be swept in turn."""
     if output._done:
         raise AutodiffError("node already consumed by a previous backward pass")
+    if output._backward is None:
+        raise AutodiffError("backward needs a graph node with a parent that requires grad")
     if seed is None:
         seed = np.ones_like(output.data)
     seed = np.asarray(seed, dtype=np.float64)
@@ -152,7 +152,7 @@ def backward(output, seed=None):
             parent.grad = grad.copy()
         else:
             parent.grad = parent.grad + grad
-    output._done = True
+    output._done, output._backward, output._prev = True, None, ()
 
 
 # -- Adam ---------------------------------------------------------------------

@@ -3,15 +3,15 @@ stages: joint main training and the stacked-trajectory refinement with the
 temporal-derivative hinge penalty above mu_X, one float from `dataset_mu`.
 
 One training loop (`_fit`) serves both stages on the trajectory's coordinate
-array, which `project_kinematic` clips and projects after every update. One
-acquisition path serves main training, refinement, validation and stacked
-evaluation alike: `_acquire_windows` acquires every k-frame window of a list
-of sequences with the k-frame trajectory in one `acquire` call, one leaf per
-window, and `_reconstruct` runs the network forward only for validation and
-stacked evaluation. An optimizer step acquires its whole mini-batch at once
-but differentiates the network one sample at a time. The losses take numpy
-arrays and return their value and gradient in closed form; the gradient's
-k-frame slices seed the backward of each window's network node.
+array, which `project_kinematic` projects onto the feasible set after every
+update. One acquisition path serves main training, refinement, validation
+and stacked evaluation alike: `_acquire_windows` acquires every k-frame
+window of a list of sequences with the k-frame trajectory in one `acquire`
+call, one leaf per window, and `_reconstruct` runs the network forward only
+for validation and stacked evaluation. An optimizer step acquires its whole
+mini-batch at once but differentiates the network one sample at a time. The
+losses take numpy arrays and return their value and gradient in closed
+form; the gradient's k-frame slices seed each window node's backward.
 """
 
 from __future__ import annotations

@@ -105,32 +105,29 @@ def kinematic_bounds(p: PhysicsConfig) -> KinematicBounds:
     return KinematicBounds(alpha=alpha, beta=beta)
 
 
-def _spokes(angles, m, span):
-    """Straight spokes through the origin at angles [T, S]: a [T, S, m, 2]
-    trajectory of m points evenly spaced over [-span, span]."""
+def _spokes(n_frames, n_shots, m, span, angle):
+    """Straight spokes through the origin: a [T, S, m, 2] trajectory of m
+    points evenly spaced over [-span, span], at the angles that
+    angle(frame, shot) gives on the broadcast index grids [T, 1] and [1, S]."""
+    if m < 2:
+        raise TrajectoryError(f"spoke initializers need m >= 2, got {m}")
+    if n_frames < 1 or n_shots < 1:
+        raise TrajectoryError(f"invalid sizes: {n_frames} frames, {n_shots} shots")
+    frame, shot = np.ogrid[:n_frames, :n_shots]
+    a = np.broadcast_to(angle(frame, shot), (n_frames, n_shots))[..., None]
     radii = np.linspace(-span, span, m)
-    a = angles[..., None]
     return Trajectory(np.stack([radii * np.cos(a), radii * np.sin(a)], axis=-1))
 
 
 def init_radial(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
     """Temporally constant radial spokes at angles pi*s/n_shots."""
-    if m < 2:
-        raise TrajectoryError("radial init needs m >= 2")
-    if n_frames < 1 or n_shots < 1:
-        raise TrajectoryError("invalid sizes")
-    angles = np.pi * np.arange(n_shots) / n_shots
-    return _spokes(np.broadcast_to(angles, (n_frames, n_shots)), m, span)
+    return _spokes(n_frames, n_shots, m, span, lambda t, s: np.pi * s / n_shots)
 
 
 def init_golden_angle(n_frames, n_shots, m, span=0.9 * np.pi) -> Trajectory:
     """Time-varying spokes advancing by the golden angle across shots and frames."""
-    if m < 2:
-        raise TrajectoryError("golden-angle init needs m >= 2")
-    if n_frames < 1 or n_shots < 1:
-        raise TrajectoryError("invalid sizes")
-    angles = np.arange(n_frames * n_shots).reshape(n_frames, n_shots) * GOLDEN_ANGLE
-    return _spokes(angles, m, span)
+    return _spokes(n_frames, n_shots, m, span,
+                   lambda t, s: (t * n_shots + s) * GOLDEN_ANGLE)
 
 
 def _block_shrink(u, radius):
@@ -153,50 +150,47 @@ def feasibility_report(coords, b: KinematicBounds):
     return vel, acc
 
 
-def _batch_violation(c, b):
-    """Worst constraint violation over a batch of curves [B, m, 2]."""
-    return max(*feasibility_report(c, b), float(np.max(np.abs(c)) - np.pi))
-
-
 def _project_curves(c0, b):
-    """Approximate Euclidean projection of a batch of curves [B, m, 2] onto
+    """Euclidean projection of a batch of curves [B, m, 2] onto
         { ||D1 c||_i <= alpha, ||D2 c||_i <= beta, |c| <= pi }.
 
-    The three constraints act through one stacked operator K = [D1; D2; I]:
-    m-1 first-difference, m-2 second-difference and m identity rows, a CSR
+    The box stays in the primal, and the dual y [2m-3, B, 2] covers only the
+    difference rows D = [D1; D2] (Beck & Teboulle, IEEE TIP 2009), a CSR
     matrix built once per call. The curves lie along its columns,
-    x0 = [m, 2B], so K and K^T each act on the whole batch in one sparse
-    product. Accelerated (FISTA) ascent on the dual y [3m-3, 2B] gives the
-    primal c = x0 - K^T y; the prox of the constraint support functions is
-    block soft-thresholding on the velocity and acceleration rows and the
-    Moreau identity prox(u) = u - t*clip(u/t) on the box rows. Every 25
-    iterations the primal iterate is checked, and the first one feasible to
-    PROJECTION_TOL is returned: a feasible point near the projection, not the
-    projection itself, so the map need not be firmly non-expansive. A batch
-    already feasible to PROJECTION_TOL is returned unchanged.
+    x0 = [m, 2B], so D and D^T each act on the whole batch in one sparse
+    product. The primal point of a dual point y is the clip
+    c(y) = clip(x0 - D^T y, -pi, pi). FISTA ascends y + step * D c(y) with
+    step = 1 / bound on ||D||^2; the prox of the support functions is block
+    soft-thresholding of the velocity and acceleration rows. Every 25
+    iterations, c(q) is returned once it is feasible to PROJECTION_TOL and
+    the duality gap alpha * sum ||q_vel|| + beta * sum ||q_acc|| - <D c(q), q>,
+    which then bounds 0.5 * ||c(q) - P(c0)||^2, is within PROJECTION_TOL too.
+    A feasible clip c(0) is returned as it is: the map is exactly idempotent.
     """
     bsz, m, _ = c0.shape
-    if _batch_violation(c0, b) <= PROJECTION_TOL:
-        return c0.copy()  # already within tolerance: fixed point, exact idempotency
-    k = sparse.vstack([sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)),
-                       sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 2, m)),
-                       sparse.identity(m)], format="csr")
-    kt = k.T.tocsr()  # a product with the CSC view k.T is ~2.5x slower
-    step = 1.0 / (4.0 + 1.0 + (16.0 if m >= 3 else 0.0))  # 1 / bound on ||K||^2
+    c = np.clip(c0, -np.pi, np.pi)
+    if max(feasibility_report(c, b)) <= PROJECTION_TOL:
+        return c
+    d = sparse.vstack([sparse.diags([-1.0, 1.0], [0, 1], shape=(m - 1, m)),
+                       sparse.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(m - 2, m))],
+                      format="csr")
+    dt = d.T.tocsr()  # a product with the CSC view d.T is ~2.5x slower
+    step = 1.0 / (4.0 + (16.0 if m >= 3 else 0.0))  # 1 / bound on ||D||^2
     x0 = c0.transpose(1, 0, 2).reshape(m, 2 * bsz)
 
-    def curves(y):
-        return (x0 - kt @ y).reshape(m, bsz, 2).transpose(1, 0, 2)
+    def primal(y):
+        return np.clip(x0 - dt @ y.reshape(2 * m - 3, -1), -np.pi, np.pi)
 
-    q = np.zeros((3 * m - 3, 2 * bsz))
+    def curves(x):
+        return x.reshape(m, bsz, 2).transpose(1, 0, 2)
+
+    q = np.zeros((2 * m - 3, bsz, 2))
     y = q
     tk = 1.0
     for it in range(MAX_ITER):
-        u = (y + step * (k @ (x0 - kt @ y))).reshape(-1, bsz, 2)
-        vel, acc, box = np.split(u, [m - 1, 2 * m - 3])
-        qn = np.concatenate([_block_shrink(vel, step * b.alpha),
-                             _block_shrink(acc, step * b.beta),
-                             box - step * np.clip(box / step, -np.pi, np.pi)]).reshape(q.shape)
+        qn = y + step * (d @ primal(y)).reshape(q.shape)
+        qn[:m - 1] = _block_shrink(qn[:m - 1], step * b.alpha)
+        qn[m - 1:] = _block_shrink(qn[m - 1:], step * b.beta)
         # Adaptive restart: drop momentum when it opposes the ascent step.
         if float(np.vdot(y - qn, qn - q)) > 0.0:
             tk = 1.0
@@ -204,21 +198,26 @@ def _project_curves(c0, b):
         y = qn + (tk - 1.0) / tk_new * (qn - q)
         q, tk = qn, tk_new
         if it % 25 == 24 or it == MAX_ITER - 1:
-            c = curves(q)
-            if _batch_violation(c, b) <= PROJECTION_TOL:
-                return np.clip(c, -np.pi, np.pi)
-    raise ProjectionError(_batch_violation(curves(q), b))
+            x = primal(q)
+            violation = max(feasibility_report(curves(x), b))
+            if violation > PROJECTION_TOL:
+                continue
+            norms = np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2)
+            gap = (b.alpha * norms[:m - 1].sum() + b.beta * norms[m - 1:].sum()
+                   - float(np.vdot(d @ x, q)))
+            if gap <= PROJECTION_TOL:
+                return curves(x)
+    raise ProjectionError(violation)
 
 
 def project_kinematic(coords, b: KinematicBounds):
-    """Clip the curves of coords [..., m, 2] into [-pi, pi] and map each onto
-    the kinematically feasible set with `_project_curves`, an approximation
-    of the Euclidean projection. Returns an array of the same shape."""
+    """The Euclidean projection of each curve of coords [..., m, 2] onto the
+    kinematically feasible part of the box [-pi, pi], to the accuracy of
+    `_project_curves`. Returns an array of the same shape."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim < 2 or coords.shape[-1] != 2 or np.isnan(coords).any():
         raise TrajectoryError(f"coords must be [..., m, 2] without NaN, got {coords.shape}")
-    clipped = np.clip(coords, -np.pi, np.pi).reshape(-1, *coords.shape[-2:])
-    return _project_curves(clipped, b).reshape(coords.shape)
+    return _project_curves(coords.reshape(-1, *coords.shape[-2:]), b).reshape(coords.shape)
 
 
 def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None):

@@ -1,6 +1,7 @@
 """Tests for the reverse-mode autodiff core and the Adam optimizer."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ def test_graph_consumed_after_backward():
     out.backward()
     with pytest.raises(AutodiffError):
         out.backward()
+
+
+def test_backward_frees_what_the_consumed_node_held():
+    held = np.full(3, 2.0)
+    ref = weakref.ref(held)
+    x = Tensor(np.ones(3), requires_grad=True)
+    node = Tensor.from_op(x.data * held, (x,), lambda g, held=held: (g * held,))
+    del held
+    assert ref() is not None  # only the closure holds it
+    node.backward()
+    assert ref() is None
+    np.testing.assert_array_equal(x.grad, 2.0)
+    with pytest.raises(AutodiffError, match="consumed"):
+        node.backward()
+    with pytest.raises(AutodiffError, match="leaves"):
+        Tensor.from_op(node.data, (node,), lambda g: (g,))
 
 
 def test_node_over_a_node_rejected():

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dyncs.trajectory import (GOLDEN_ANGLE, PROJECTION_TOL, KinematicBounds,
-                              PhysicsConfig, Trajectory, TrajectoryError, export_trajectory,
+                              PhysicsConfig, ProjectionError, Trajectory,
+                              TrajectoryError, export_trajectory,
                               feasibility_report, init_golden_angle,
                               init_radial, kinematic_bounds, load_trajectory,
                               project_kinematic)
@@ -185,6 +187,65 @@ def test_projection_of_stacked_frames_equals_flattened_curves():
     flat = project_kinematic(c0.reshape(6, 12, 2), b)
     assert stacked.shape == c0.shape
     assert stacked.tobytes() == flat.tobytes()
+
+
+def _slsqp_projection(c0, b):
+    """Reference projection of one curve c0 [m, 2] by SLSQP on squared
+    difference norms."""
+    m = len(c0)
+    d1 = np.diff(np.eye(m), axis=0)
+    d2 = np.diff(np.eye(m), n=2, axis=0)
+
+    def rows(dm, bound):
+        def fun(x):
+            u = dm @ x.reshape(m, 2)
+            return bound ** 2 - np.sum(u * u, axis=1)
+
+        def jac(x):
+            u = dm @ x.reshape(m, 2)
+            return -2.0 * (dm[:, :, None] * u[:, None, :]).reshape(len(dm), -1)
+
+        return {"type": "ineq", "fun": fun, "jac": jac}
+
+    res = minimize(lambda x: 0.5 * np.sum((x - c0.ravel()) ** 2),
+                   np.clip(c0, -np.pi, np.pi).ravel(), jac=lambda x: x - c0.ravel(),
+                   method="SLSQP", bounds=[(-np.pi, np.pi)] * (2 * m),
+                   constraints=[rows(d1, b.alpha), rows(d2, b.beta)],
+                   options={"ftol": 1e-13, "maxiter": 1000})
+    assert res.success, res.message
+    return res.x.reshape(m, 2)
+
+
+def test_projection_matches_slsqp_reference():
+    rng = np.random.default_rng(5)
+    b = KinematicBounds(alpha=0.3, beta=0.1)
+    worst = 0.0
+    for _ in range(30):
+        c0 = np.cumsum(rng.normal(scale=0.5, size=(8, 2)), axis=0)
+        out = project_kinematic(c0[None], b)[0]
+        worst = max(worst, float(np.max(np.abs(out - _slsqp_projection(c0, b)))))
+    assert worst <= 1e-6
+
+
+def test_projection_is_firmly_non_expansive():
+    # one curve per call: a batch stops only once its slowest curve is
+    # feasible, which would hide an early stop on a single curve
+    rng = np.random.default_rng(1)
+    b = KinematicBounds(alpha=0.3, beta=0.1)
+    for _ in range(40):
+        ca = np.cumsum(rng.normal(scale=0.5, size=(1, 8, 2)), axis=1)
+        cb = ca + rng.normal(scale=0.05, size=ca.shape)
+        pa, pb = project_kinematic(ca, b), project_kinematic(cb, b)
+        assert np.sum((pa - pb) ** 2) <= np.vdot(pa - pb, ca - cb) + 1e-9
+
+
+def test_projection_raises_when_it_runs_out_of_iterations(monkeypatch):
+    import dyncs.trajectory as tr
+    monkeypatch.setattr(tr, "MAX_ITER", 25)
+    rng = np.random.default_rng(0)
+    c0 = np.cumsum(rng.normal(scale=0.25, size=(1, 2, 30, 2)), axis=2)
+    with pytest.raises(ProjectionError):
+        project_kinematic(c0, KinematicBounds(alpha=0.1, beta=0.05))
 
 
 def _one_nan():
