@@ -2,13 +2,16 @@
 evaluation with trajectory stacking, and data export for plots.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure (with a JSON error
-object on stderr). Every run directory holds exactly one manifest.json and
-reruns under an equal manifest reproduce outputs byte-identically.
+object on stderr). A ValueError raised while a config, the initial
+trajectory or an export region is built from flags is a usage error
+(`_flags`). Every run directory holds exactly one manifest.json and reruns
+under an equal manifest reproduce outputs byte-identically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -21,17 +24,27 @@ import numpy as np
 
 from . import __version__
 from . import data as dz
-from .autodiff import AutodiffError, Tensor
+from .autodiff import Tensor
 from . import metrics as qm
 from . import pipeline as pl
 from .recon import (ReconConfig, export_attention, init_recon_params, load_checkpoint,
                     recon_forward, region_windows, save_checkpoint, window_grid)
-from .trajectory import (PhysicsConfig, TrajectoryError, export_trajectory,
+from .trajectory import (PhysicsConfig, export_trajectory, init_golden_angle, init_radial,
                          kinematic_bounds, load_trajectory)
 
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _flags(what):
+    """Report a ValueError raised while `what` is built from flags (a config,
+    the initial trajectory, an export region) as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"invalid {what}: {exc}") from exc
 
 
 def _write_manifest(run_dir, command, config, input_hashes):
@@ -54,16 +67,10 @@ def _write_history(path, history, keep_stage=None):
     if keep_stage is not None and Path(path).exists():
         with open(path, newline="") as fh:
             kept = [row for row in list(csv.reader(fh))[1:] if row[1] == keep_stage]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "stage", "train_loss", "val_loss",
-                         "max_constraint_violation"])
-        writer.writerows(kept)
-        for row in history:
-            writer.writerow([row["epoch"], row["stage"],
-                             format(row["train_loss"], ".17g"),
-                             format(row["val_loss"], ".17g"),
-                             format(row["max_violation"], ".17g")])
+    header = ["epoch", "stage", "train_loss", "val_loss", "max_constraint_violation"]
+    rows = [[row["epoch"], row["stage"], row["train_loss"], row["val_loss"],
+             row["max_violation"]] for row in history]
+    dz.write_csv(path, header, kept + rows)
 
 
 def _dataset_hash(data_dir):
@@ -97,43 +104,6 @@ def cmd_gen_data(args):
     print(f"wrote {args.count} volumes to {out}")
 
 
-def _recon_config(args):
-    """The network of the train flags; a malformed one is a usage error."""
-    try:
-        window = tuple(int(v) for v in args.window.split(","))
-        return ReconConfig(channels=args.channels, n_blocks=args.blocks,
-                           heads=args.heads, window=window)
-    except ValueError as exc:
-        raise UsageError(f"invalid network flags: {exc}") from exc
-
-
-def _train_config(args):
-    """The training stage of the train flags; an invalid one is a usage error."""
-    if args.epochs < 1:
-        raise UsageError("--epochs must be at least 1")
-    try:
-        return pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
-                              lr_net=args.lr_net, batch=args.batch, seed=args.seed,
-                              frames_k=args.frames_k)
-    except AutodiffError as exc:
-        raise UsageError(f"invalid training flags: {exc}") from exc
-
-
-def _refine_config(args, cfg):
-    """The refinement stage of the refine flags on a run trained with the
-    manifest config `cfg`; an invalid one is a usage error."""
-    try:
-        return pl.TrainConfig(epochs_refine=args.epochs_refine,
-                              lr_traj_refine=args.lr_traj_refine,
-                              lr_net_refine=args.lr_net_refine,
-                              batch=cfg["batch"], lambda_ref=args.lambda_ref,
-                              seed=cfg["seed"], frames_k=cfg["frames_k"],
-                              mu_mode="signed" if args.signed_mu else "abs",
-                              freeze_theta_refine=args.freeze_theta)
-    except AutodiffError as exc:
-        raise UsageError(f"invalid refine flags: {exc}") from exc
-
-
 # JSON value types a `--config` override may hold, by the flag's argparse type
 _CONFIG_TYPES = {int: (int,), float: (int, float), None: (str,)}
 
@@ -155,15 +125,20 @@ def _load_config_overrides(args, parser):
 
 def cmd_train(args, parser):
     _load_config_overrides(args, parser)
-    rcfg = _recon_config(args)
-    tcfg = _train_config(args)
+    with _flags("network flags"):
+        rcfg = ReconConfig(channels=args.channels, n_blocks=args.blocks, heads=args.heads,
+                           window=tuple(int(v) for v in args.window.split(",")))
+    if args.epochs < 1:
+        raise UsageError("--epochs must be at least 1")
+    with _flags("training flags"):
+        tcfg = pl.TrainConfig(epochs_main=args.epochs, lr_traj=args.lr_traj,
+                              lr_net=args.lr_net, batch=args.batch, seed=args.seed,
+                              frames_k=args.frames_k)
     k = args.frames_k
-    try:
-        trajectory = pl.init_trajectory(args.traj, k, args.shots, args.points_per_shot)
-    except TrajectoryError as exc:
-        raise UsageError(f"invalid trajectory flags: {exc}") from exc
-    if args.lr_traj == 0:
-        trajectory.learnable = False
+    init = init_golden_angle if args.traj == "gar" else init_radial
+    with _flags("trajectory flags"):
+        trajectory = init(k, args.shots, args.points_per_shot)
+    trajectory.learnable = args.traj == "learned" and args.lr_traj > 0
     volumes = dz.load_dataset(args.data)
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     if not samples:
@@ -208,7 +183,15 @@ def _load_run(run_dir, refined):
 def cmd_refine(args):
     run_dir = Path(args.run)
     manifest, rcfg, params, trajectory = _load_run(run_dir, refined=False)
-    tcfg = _refine_config(args, manifest["config"])
+    cfg = manifest["config"]
+    with _flags("refine flags"):
+        tcfg = pl.TrainConfig(epochs_refine=args.epochs_refine,
+                              lr_traj_refine=args.lr_traj_refine,
+                              lr_net_refine=args.lr_net_refine,
+                              batch=cfg["batch"], lambda_ref=args.lambda_ref,
+                              seed=cfg["seed"], frames_k=cfg["frames_k"],
+                              mu_mode="signed" if args.signed_mu else "abs",
+                              freeze_theta_refine=args.freeze_theta)
     if args.epochs_refine > 0 and args.freeze_theta and (
             args.lr_traj_refine == 0 or not trajectory.learnable):
         raise UsageError("--freeze-theta with a frozen trajectory leaves nothing to "
@@ -294,10 +277,9 @@ def cmd_export(args):
         raise UsageError(f"attention export needs volumes with at least {k} frames")
     z = volumes[0][:k]
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
-    try:  # the padded window grid depends only on the volume shape
+    # the padded window grid depends only on the volume shape
+    with _flags("attention region"):
         region_windows(region, rcfg.window, window_grid(z.shape, rcfg.window))
-    except AutodiffError as exc:
-        raise UsageError(f"invalid attention region: {exc}") from exc
     regrid = pl.acquire(z, Tensor(traj.coords))
     _, records = recon_forward(regrid, rcfg, params, record_attention=True)
     geometry = export_attention(records[args.block], region, out)
@@ -317,13 +299,12 @@ def cmd_metrics(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(json.dumps(reports, indent=2))
-    with open(out / "per_frame.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["volume", "frame", "psnr", "vif", "fsim"])
-        for i, rep in enumerate(reports):
-            pf = rep["per_frame"]
-            for t in range(len(pf["vif"])):
-                writer.writerow([i, t, pf["psnr"][t], pf["vif"][t], pf["fsim"][t]])
+    rows = []
+    for i, rep in enumerate(reports):
+        pf = rep["per_frame"]
+        for t, values in enumerate(zip(pf["psnr"], pf["vif"], pf["fsim"])):
+            rows.append([i, t, *values])
+    dz.write_csv(out / "per_frame.csv", ["volume", "frame", "psnr", "vif", "fsim"], rows)
     print(f"metric report written to {out}")
 
 

@@ -1,12 +1,15 @@
-"""Synthetic dynamic cardiac-like phantoms and the on-disk dataset format.
+"""Synthetic dynamic cardiac-like phantoms, the on-disk dataset format and
+the one CSV writer.
 
 Each volume is a [T, H, W] float64 array in [0, 1]: a handful of static
 soft-edged ellipses plus one pulsating ellipse whose radii oscillate
-sinusoidally over the frames.
+sinusoidally over the frames. Every CSV table the package writes goes
+through `write_csv`, which prints each float with 17 significant digits.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,6 +136,17 @@ def load_dataset(path) -> list[np.ndarray]:
             raise DataError(f"vol_{i}.f64 contains non-finite values")
         volumes.append(v)
     return volumes
+
+
+def write_csv(path, header, rows):
+    """Write a CSV table: the `header` row, then `rows`, each float printed
+    with 17 significant digits, so a read-back reproduces the float64 value
+    bit-exactly; other values are written as they are."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
 
 
 def partition_frames(volume, k, pad=True):

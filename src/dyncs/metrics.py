@@ -13,11 +13,12 @@ peak of 255, where their published constants live.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 from scipy import fft, ndimage
+
+from .data import write_csv
 
 EPS = 1e-8
 
@@ -251,6 +252,11 @@ def metric_report(x, ref, peak=1.0):
     }
 
 
+def _seams(n, k):
+    """The mask of the stacking seams among n mu entries: k-1, 2k-1, ..."""
+    return np.arange(n) % k == k - 1
+
+
 def transition_report(mu, k):
     """Summarize a mean-temporal-derivative vector around the stacking seams.
 
@@ -259,19 +265,14 @@ def transition_report(mu, k):
     mu = np.asarray(mu, dtype=np.float64)
     if len(mu) < k:
         raise MetricError("mu vector shorter than one partition")
-    marks = [i for i in range(k - 1, len(mu), k) if i < len(mu)]
-    others = [i for i in range(len(mu)) if i not in marks]
-    peak = float(np.max(np.abs(mu[marks]))) if marks else 0.0
-    elsewhere = float(np.mean(np.abs(mu[others]))) if others else 0.0
-    return {"transition_indices": marks, "transition_peak": peak,
+    seams = _seams(len(mu), k)  # never empty: len(mu) >= k
+    peak = float(np.max(np.abs(mu[seams])))
+    elsewhere = float(np.mean(np.abs(mu[~seams]))) if not seams.all() else 0.0
+    return {"transition_indices": np.flatnonzero(seams).tolist(), "transition_peak": peak,
             "mean_elsewhere": elsewhere}
 
 
 def write_transition_csv(mu, k, path):
     mu = np.asarray(mu, dtype=np.float64)
-    marks = set(range(k - 1, len(mu), k))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "mu", "is_transition"])
-        for i, v in enumerate(mu):
-            writer.writerow([i, format(v, ".17g"), int(i in marks)])
+    seams = _seams(len(mu), k).astype(int)
+    write_csv(path, ["index", "mu", "is_transition"], zip(range(len(mu)), mu, seams))

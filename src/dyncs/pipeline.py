@@ -25,8 +25,7 @@ from .autodiff import AdamState, AutodiffError, Tensor, adam_step
 from .data import partition_frames
 from .nufft import acquire
 from .recon import ReconConfig, recon_forward
-from .trajectory import (PhysicsConfig, Trajectory, feasibility_report,
-                         init_golden_angle, init_radial, kinematic_bounds,
+from .trajectory import (PhysicsConfig, Trajectory, feasibility_report, kinematic_bounds,
                          project_kinematic)
 
 
@@ -155,17 +154,6 @@ def _reconstruct(seqs, coords, params, rcfg):
 def _split_train_val(n, val_fraction):
     n_val = max(1, int(round(n * val_fraction))) if n > 1 else 0
     return list(range(n - n_val)), list(range(n - n_val, n))
-
-
-def init_trajectory(mode, n_frames, n_shots, m):
-    if mode in ("learned", "radial"):
-        traj = init_radial(n_frames, n_shots, m)
-    elif mode == "gar":
-        traj = init_golden_angle(n_frames, n_shots, m)
-    else:
-        raise AutodiffError(f"unknown trajectory mode '{mode}'")
-    traj.learnable = mode == "learned"
-    return traj
 
 
 def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
@@ -301,7 +289,7 @@ def evaluate_stacked(trajectory: Trajectory, params: dict, rcfg: ReconConfig,
     """
     z_long = np.asarray(z_long, dtype=np.float64)
     t_total = z_long.shape[0]
-    if trajectory.n_frames != k:
+    if trajectory.coords.shape[0] != k:
         raise AutodiffError("trajectory frame count must equal k")
     recon = _reconstruct([z_long], trajectory.coords, params, rcfg)[0][:t_total]
     mu = mean_temporal_derivative(recon) if t_total >= 2 else np.zeros(0)

@@ -23,15 +23,15 @@ attention keys.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AutodiffError, Tensor
+from .data import write_csv
 
 
 @dataclass
@@ -50,16 +50,6 @@ class ReconConfig:
             raise AutodiffError("channels must be divisible by heads")
         if len(self.window) != 3 or min(self.window) < 1:
             raise AutodiffError("window must be three positive extents")
-
-    def to_dict(self):
-        return {"channels": self.channels, "n_blocks": self.n_blocks,
-                "heads": self.heads, "window": list(self.window),
-                "mlp_ratio": self.mlp_ratio}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(channels=d["channels"], n_blocks=d["n_blocks"], heads=d["heads"],
-                   window=tuple(d["window"]), mlp_ratio=d["mlp_ratio"])
 
 
 @dataclass
@@ -411,7 +401,7 @@ def save_checkpoint(path, cfg: ReconConfig, params: dict):
     """<path>.json manifest + <path>.bin little-endian float64 blob."""
     path = Path(path)
     names = sorted(params)
-    manifest = {"version": CHECKPOINT_VERSION, "config": cfg.to_dict(),
+    manifest = {"version": CHECKPOINT_VERSION, "config": asdict(cfg),
                 "params": [{"name": n, "shape": list(params[n].shape)} for n in names]}
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
     blob = b"".join(params[n].data.astype("<f8").tobytes() for n in names)
@@ -423,7 +413,7 @@ def load_checkpoint(path):
     manifest = json.loads(path.with_suffix(".json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
         raise AutodiffError(f"unsupported checkpoint version {manifest['version']}")
-    cfg = ReconConfig.from_dict(manifest["config"])
+    cfg = ReconConfig(**manifest["config"])
     blob = path.with_suffix(".bin").read_bytes()
     params, offset = {}, 0
     for entry in manifest["params"]:
@@ -466,21 +456,20 @@ def export_attention(record: AttentionRecord, region, path):
     ti, rows, cols = region_windows(region, record.window, record.grid)
     nh, nw = record.grid[1:]
     path = Path(path)
-    n_maps = 0
-    with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_t", "window_y", "window_x", "head", "row"]
-                        + [f"c{j}" for j in range(record.weights.shape[-1])])
+
+    def table():
         for r in rows:
             for cc in cols:
                 widx = (ti * nh + r) * nw + cc
-                n_maps += 1  # one map per window; heads are slices of the map
                 for head in range(record.weights.shape[1]):
                     for row_i, row in enumerate(record.weights[widx, head]):
-                        writer.writerow([ti, r, cc, head, row_i]
-                                        + [format(v, ".17g") for v in row])
+                        yield [ti, r, cc, head, row_i, *row]
+
+    write_csv(path.with_suffix(".csv"), ["window_t", "window_y", "window_x", "head", "row"]
+              + [f"c{j}" for j in range(record.weights.shape[-1])], table())
+    # n_maps: one map per window; the heads are slices of each map
     geometry = {"window": list(record.window), "grid": list(record.grid),
-                "region": list(region), "n_maps": n_maps,
+                "region": list(region), "n_maps": len(rows) * len(cols),
                 "tokens": int(record.weights.shape[-1]),
                 "block_index": record.block_index}
     path.with_suffix(".json").write_text(json.dumps(geometry, indent=2))

@@ -1,5 +1,6 @@
 """Per-frame multi-shot k-space trajectories: generators, kinematic
-feasibility projection and serialization.
+feasibility projection and serialization (the CSV table through
+`data.write_csv`).
 
 A trajectory is a real array [N_frames, N_shots, m, 2] of angular
 frequencies in radians (see `nufft` for the transform convention). The
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
+
+from .data import write_csv
 
 # MRI golden angle, 111.246 degrees: pi * (sqrt(5) - 1) / 2 radians.
 GOLDEN_ANGLE = np.pi * (np.sqrt(5.0) - 1.0) / 2.0
@@ -50,18 +53,6 @@ class Trajectory:
             raise TrajectoryError("N_frames, N_shots and m must all be >= 1")
         if not np.all(np.abs(self.coords) <= np.pi + 1e-12):  # NaN fails too
             raise TrajectoryError("coordinate outside [-pi, pi] or NaN")
-
-    @property
-    def n_frames(self):
-        return self.coords.shape[0]
-
-    @property
-    def n_shots(self):
-        return self.coords.shape[1]
-
-    @property
-    def n_points(self):
-        return self.coords.shape[2]
 
 
 @dataclass
@@ -221,51 +212,46 @@ def project_kinematic(coords, b: KinematicBounds):
 
 
 def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None):
-    """Write <path>.json metadata and <path>.csv coordinate table.
-
-    Coordinates are printed with 17 significant digits, so a read-back
-    reproduces the float64 values bit-exactly.
-    """
+    """Write <path>.json metadata and <path>.csv coordinate table, one row
+    (frame, shot, index, kx, ky) per point through `data.write_csv`."""
     path = Path(path)
     meta = {
-        "n_frames": k.n_frames,
-        "n_shots": k.n_shots,
-        "points_per_shot": k.n_points,
+        "n_frames": k.coords.shape[0],
+        "n_shots": k.coords.shape[1],
+        "points_per_shot": k.coords.shape[2],
         "units": "radians",
         "learnable": k.learnable,
     }
     if bounds is not None:
         meta["bounds"] = {"alpha": bounds.alpha, "beta": bounds.beta}
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
-    with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "shot", "index", "kx", "ky"])
-        for t in range(k.n_frames):
-            for s in range(k.n_shots):
-                for i in range(k.n_points):
-                    kx, ky = k.coords[t, s, i]
-                    writer.writerow([t, s, i, format(kx, ".17g"), format(ky, ".17g")])
+    write_csv(path.with_suffix(".csv"), ["frame", "shot", "index", "kx", "ky"],
+              ([*idx, *k.coords[idx]] for idx in np.ndindex(k.coords.shape[:3])))
 
 
 def load_trajectory(path) -> Trajectory:
     """Read back an `export_trajectory` pair; every (frame, shot, index) row
-    must appear exactly once."""
+    must appear exactly once, with five fields, and the table must end in a
+    line end, so a file cut inside its last row is an error."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     shape = (meta["n_frames"], meta["n_shots"], meta["points_per_shot"])
     coords = np.zeros(shape + (2,))
     seen = np.zeros(shape, dtype=bool)
     with open(path.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            idx = tuple(int(v) for v in row[:3])
-            if not all(0 <= i < n for i, n in zip(idx, shape)):
-                raise TrajectoryError(f"row (frame, shot, index) = {idx} outside {shape}")
-            if seen[idx]:
-                raise TrajectoryError(f"duplicate row (frame, shot, index) = {idx}")
-            seen[idx] = True
-            coords[idx] = (float(row[3]), float(row[4]))
+        text = fh.read()
+    if not text.endswith("\n"):
+        raise TrajectoryError(f"{path.with_suffix('.csv')} is cut inside its last row")
+    for row in list(csv.reader(text.splitlines()))[1:]:
+        if len(row) != 5:
+            raise TrajectoryError(f"row {row} has {len(row)} fields, not 5")
+        idx = tuple(int(v) for v in row[:3])
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise TrajectoryError(f"row (frame, shot, index) = {idx} outside {shape}")
+        if seen[idx]:
+            raise TrajectoryError(f"duplicate row (frame, shot, index) = {idx}")
+        seen[idx] = True
+        coords[idx] = (float(row[3]), float(row[4]))
     if not seen.all():
         first = tuple(int(i) for i in np.argwhere(~seen)[0])
         raise TrajectoryError(f"{int((~seen).sum())} rows missing, first "

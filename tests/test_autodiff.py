@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyncs import autodiff as ad
 from dyncs.autodiff import AdamState, AutodiffError, Tensor, adam_step
@@ -214,6 +216,43 @@ def test_conv3d_matches_loop_oracle():
         np.testing.assert_allclose(ad.conv3d_grad_weight(g, x, w.shape),
                                    _conv3d_grad_weight_oracle(g, x, w.shape),
                                    rtol=1e-12, atol=1e-12)
+
+
+def _conv3d_grad_input_oracle(g, w, x_shape):
+    """The adjoint of `_conv3d_oracle` in x: each product scatters back."""
+    cin, t, h, wd = x_shape
+    cout, _, kt, kh, kw = w.shape
+    gx = np.zeros((cin, t + kt - 1, h + kh - 1, wd + kw - 1))
+    for co in range(cout):
+        for ci in range(cin):
+            for a in range(kt):
+                for b in range(kh):
+                    for c in range(kw):
+                        gx[ci, a:a + t, b:b + h, c:c + wd] += w[co, ci, a, b, c] * g[co]
+    return gx[:, kt // 2:kt // 2 + t, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd]
+
+
+_ODD = st.sampled_from([1, 3, 5])
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.tuples(_ODD, _ODD, _ODD),
+       st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)))
+@example(0, 2, 3, (5, 3, 3), (1, 4, 5))  # one frame under a five-frame kernel
+def test_conv3d_helpers_match_loop_oracles(seed, cin, cout, kernel, volume):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(cin,) + volume)
+    w = rng.normal(size=(cout, cin) + kernel)
+    g = rng.normal(size=(cout,) + volume)
+    np.testing.assert_allclose(ad.conv3d_forward(x, w), _conv3d_oracle(x, w),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ad.conv3d_grad_weight(g, x, w.shape),
+                               _conv3d_grad_weight_oracle(g, x, w.shape),
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(ad.conv3d_grad_input(g, w),
+                               _conv3d_grad_input_oracle(g, w, x.shape),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_conv3d_gradients_match_finite_differences():

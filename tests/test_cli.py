@@ -88,6 +88,33 @@ def test_train_rerun_reproduces_history_byte_identically(dataset, tmp_path):
     assert (a / "traj.csv").read_bytes() == (b / "traj.csv").read_bytes()
 
 
+def test_cli_chain_reruns_byte_identically(tmp_path, capsys):
+    # every file of gen-data, train, refine, stack-eval and both exports;
+    # manifest.json holds a timestamp
+    trees = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        data, run = root / "data", root / "run"
+        assert main(["gen-data", "--out", str(data), "--count", "3", "--grid", str(GRID),
+                     "--frames", "8", "--seed", "1"]) == 0
+        assert main(_train_args(data, run)) == 0
+        assert main(["refine", "--run", str(run), "--data", str(data),
+                     "--epochs-refine", "1"]) == 0
+        assert main(["stack-eval", "--run", str(run), "--data", str(data),
+                     "--total-frames", "11"]) == 0
+        assert main(["export", "trajectory", "--run", str(run)]) == 0
+        assert main(["export", "attention", "--run", str(run), "--data", str(data),
+                     "--region-extent", "4"]) == 0
+        trees.append({path.relative_to(root): path.read_bytes()
+                      for path in root.rglob("*")
+                      if path.is_file() and path.name != "manifest.json"})
+    capsys.readouterr()
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert {"run/traj_refined.csv", "run/eval_11/mu.csv", "run/export_trajectory.csv",
+            "run/export_attention.csv"} <= {str(name) for name in trees[0]}
+    for name, content in trees[0].items():
+        assert trees[1][name] == content, name
+
+
 def test_train_missing_dataset_fails(tmp_path):
     rc = main(_train_args(tmp_path / "nope", tmp_path / "out"))
     assert rc == 1
@@ -219,6 +246,26 @@ def test_eval_on_truncated_trajectory_fails(dataset, run_dir, tmp_path, capsys):
     for traj_csv in run.glob("traj*.csv"):
         lines = traj_csv.read_text().splitlines(keepends=True)
         traj_csv.write_text("".join(lines[:-1]))
+    rc = main(["eval", "--run", str(run), "--data", str(dataset),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TrajectoryError"
+
+
+@pytest.mark.parametrize("cut", ["inside-last-value", "before-fifth-field", "four-field-row"])
+def test_eval_on_trajectory_cut_inside_a_row_fails(dataset, run_dir, tmp_path, capsys, cut):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    table = (run / "traj.csv").read_bytes()
+    if cut == "inside-last-value":  # the line end and 3 digits go; the rest still parses
+        table = table[:-5]
+    elif cut == "before-fifth-field":
+        table = table[:table.rindex(b",")]
+    else:  # a row in the middle of the table loses its last field
+        rows = table.split(b"\r\n")
+        rows[2] = rows[2][:rows[2].rindex(b",")]
+        table = b"\r\n".join(rows)
+    (run / "traj.csv").write_bytes(table)
     rc = main(["eval", "--run", str(run), "--data", str(dataset),
                "--out", str(tmp_path / "eval")])
     assert rc == 1

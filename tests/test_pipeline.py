@@ -245,6 +245,19 @@ def test_training_is_deterministic_given_seed():
     assert np.array_equal(r1.trajectory.coords, r2.trajectory.coords)
 
 
+def test_train_main_twice_in_one_process_is_byte_identical():
+    # a learned trajectory, so the projection, both Adam states and the
+    # acquisition's coordinate gradient all run, and four training samples
+    # in batches of two, so the shuffle decides which samples share a step
+    volumes = [gen_phantom(PhantomSpec(grid=(12, 12), frames=4, seed=s)) for s in range(5)]
+    (a, _), (b, _) = (_tiny_train(epochs=2, seed=3, volumes=volumes) for _ in range(2))
+    assert sorted(a.params) == sorted(b.params)
+    for name in a.params:
+        assert a.params[name].data.tobytes() == b.params[name].data.tobytes(), name
+    assert a.trajectory.coords.tobytes() == b.trajectory.coords.tobytes()
+    assert repr(a.history) == repr(b.history)  # repr keeps every bit of a float
+
+
 def test_training_keeps_trajectory_feasible():
     result, _ = _tiny_train(epochs=3)
     assert all(row["max_violation"] <= 1e-6 for row in result.history)

@@ -470,7 +470,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = init_recon_params(cfg, rng)
     save_checkpoint(tmp_path / "ckpt", cfg, params)
     cfg2, params2 = load_checkpoint(tmp_path / "ckpt")
-    assert cfg2.to_dict() == cfg.to_dict()
+    assert cfg2 == cfg
     assert set(params2) == set(params)
     for name in params:
         assert np.array_equal(params2[name].data, params[name].data)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from dyncs.trajectory import (GOLDEN_ANGLE, PROJECTION_TOL, KinematicBounds,
@@ -237,6 +239,44 @@ def test_projection_is_firmly_non_expansive():
         cb = ca + rng.normal(scale=0.05, size=ca.shape)
         pa, pb = project_kinematic(ca, b), project_kinematic(cb, b)
         assert np.sum((pa - pb) ** 2) <= np.vdot(pa - pb, ca - cb) + 1e-9
+
+
+# random short curves [curves, m, 2] of random step size, under random bounds
+_CURVES = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(3, 10),
+                    st.floats(0.1, 1.0), st.floats(0.05, 0.5), st.floats(0.02, 0.3))
+
+
+def _draw_curves(seed, curves, m, step, alpha, beta):
+    rng = np.random.default_rng(seed)
+    c0 = np.cumsum(rng.normal(scale=step, size=(curves, m, 2)), axis=1)
+    return c0, KinematicBounds(alpha=alpha, beta=beta)
+
+
+@settings(max_examples=40)
+@given(_CURVES)
+def test_projection_satisfies_the_variational_inequality(case):
+    """<c0 - P(c0), f - P(c0)> <= 0 for every feasible f. Random feasible
+    curves lie deep inside the set, where the inequality holds with room to
+    spare, so the witnesses are the feasible points P(P(c0) + t (c0 - P(c0)))
+    along the normal ray: for the true projection they are P(c0) itself, and
+    for a feasible point that is not the projection they move along the set
+    to where the inner product is positive."""
+    c0, b = _draw_curves(*case)
+    p = project_kinematic(c0, b)
+    d = c0 - p
+    for t in (1.0, 10.0):
+        f = project_kinematic(p + t * d, b)
+        assert _violations(f[None], b) <= PROJECTION_TOL and np.all(np.abs(f) <= np.pi)
+        inner = np.sum(d * (f - p), axis=(1, 2))  # per curve: the set is a product
+        assert np.all(inner <= 1e-6 * (1.0 + np.linalg.norm(d) * np.linalg.norm(f - p)))
+
+
+@settings(max_examples=40)
+@given(_CURVES)
+def test_projection_is_exactly_idempotent(case):
+    c0, b = _draw_curves(*case)
+    once = project_kinematic(c0, b)
+    assert np.array_equal(project_kinematic(once, b), once)
 
 
 def test_projection_raises_when_it_runs_out_of_iterations(monkeypatch):
