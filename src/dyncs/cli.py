@@ -82,9 +82,16 @@ def _check_metric_frames(volumes):
         raise UsageError(f"the metrics need frames of at least {qm.VIF_MIN_SIDE} px a side")
 
 
+def _flag_config(args, parser):
+    """The command's flag values in parser order, for its manifest: every
+    flag but the paths (--data, --out) and --config."""
+    return {a.dest: getattr(args, a.dest) for a in parser._actions
+            if a.dest not in ("help", "data", "out", "config")}
+
+
 # -- commands -----------------------------------------------------------------
 
-def cmd_gen_data(args):
+def cmd_gen_data(args, parser):
     if args.grid < 4:
         raise UsageError("--grid must be at least 4")
     if args.count < 1 or args.frames < 1 or not args.noise >= 0:  # NaN fails too
@@ -94,8 +101,7 @@ def cmd_gen_data(args):
                              noise_sigma=args.noise)
     out = Path(args.out)
     dz.save_dataset(out, volumes)
-    config = {"count": args.count, "grid": args.grid, "frames": args.frames,
-              "seed": args.seed, "noise": args.noise}
+    config = _flag_config(args, parser)
     # fold the run provenance into the dataset manifest (one manifest per dir)
     manifest = json.loads((out / dz.MANIFEST_NAME).read_text())
     manifest["provenance"] = {"command": "gen-data", "version": __version__,
@@ -156,10 +162,8 @@ def cmd_train(args, parser):
     save_checkpoint(run_dir / "checkpoint", rcfg, result.params)
     export_trajectory(result.trajectory, run_dir / "traj", kinematic_bounds(pcfg))
     _write_history(run_dir / "history.csv", result.history)
-    config = {k2: getattr(args, k2) for k2 in
-              ("shots", "points_per_shot", "epochs", "lr_traj", "lr_net", "batch",
-               "traj", "seed", "frames_k", "channels", "blocks", "heads", "window")}
-    _write_manifest(run_dir, "train", config, {"dataset": _dataset_hash(args.data)})
+    _write_manifest(run_dir, "train", _flag_config(args, parser),
+                    {"dataset": _dataset_hash(args.data)})
     print(f"trained run written to {run_dir} "
           f"(final val loss {result.history[-1]['val_loss']:.6g})")
 
@@ -322,7 +326,7 @@ def build_parser():
     p.add_argument("--frames", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0)
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=functools.partial(cmd_gen_data, parser=p))
 
     p = sub.add_parser("train", help="main joint training stage")
     p.add_argument("--data", required=True)

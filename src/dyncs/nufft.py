@@ -1,15 +1,16 @@
 """Exact type-2 nonuniform DFT between image frames and arbitrary k-space
 coords, and the emulated acquisition AᴴA as one autodiff graph node.
 
-Each call builds per-axis phase tables [T, S*m, H] and [T, S*m, W] from its
-coordinates, by the exact factorization exp(-i (kx*x + ky*y)) =
-exp(-i kx*x) * exp(-i ky*y), and contracts the image against them, batched
-over frames; no state is kept between calls. A table takes cos and sin only
-at x <= 0 and fills x > 0 by conjugation. `acquire` also takes leading batch
-axes: images [..., T, H, W] share one set of tables, built once per forward
-and once per backward, and are contracted against them one image at a time;
-its one parent, coords, gets one gradient: the adjoint transform's term plus
-the forward's, each summed over those axes. Conventions:
+Each call works frame by frame: it builds frame t's per-axis phase tables
+[S*m, H] and [S*m, W] from that frame's coordinates, by the exact
+factorization exp(-i (kx*x + ky*y)) = exp(-i kx*x) * exp(-i ky*y), contracts
+the frame against them and lets them go before the next frame; no state is
+kept between calls. A table takes cos and sin only at x <= 0 and fills x > 0
+by conjugation. `acquire` also takes leading batch axes: images
+[..., T, H, W] share each frame's tables, built once per forward and once
+per backward, and are contracted against them one image at a time; its one
+parent, coords, gets one gradient: the adjoint transform's term plus the
+forward's, each summed over those axes. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
   * image indices are centered: x in {-H//2, ..., H - H//2 - 1}, y likewise;
@@ -55,32 +56,35 @@ def _axis_table(k, n):
     return table
 
 
-def _phase_tables(coords, h, w):
-    """exp(-i kx*x) [T, S*m, H] and exp(-i ky*y) [T, S*m, W]."""
-    flat = coords.reshape(coords.shape[0], -1, 2)
-    return _axis_table(flat[..., 0], h), _axis_table(flat[..., 1], w)
+def _phase_tables(coords, t, h, w):
+    """exp(-i kx*x) [S*m, H] and exp(-i ky*y) [S*m, W] of frame t."""
+    flat = coords[t].reshape(-1, 2)
+    return _axis_table(flat[:, 0], h), _axis_table(flat[:, 1], w)
 
 
-def _forward(ex, ey, z):
-    """Unscaled forward transform of z [..., T,H,W] -> [..., T, S*m]."""
-    return (ex @ z * ey).sum(-1)
+def _product(ex, ey, z):
+    """ex @ z * ey [S*m, W] of one frame z [H,W], formed in place: the
+    forward transform before its sum over y."""
+    p = ex @ z
+    p *= ey
+    return p
 
 
 def _adjoint(ex, ey, x):
-    """Unscaled adjoint transform of x [..., T, S*m] -> [..., T,H,W], as
+    """Unscaled adjoint transform of one frame's samples x [S*m] -> [H,W], as
     conj(ex^T @ (conj(x) * ey)): one conjugate of x and one of the result,
     and none of the phase tables."""
-    out = ex.swapaxes(-1, -2) @ (x.conj()[..., None] * ey)
+    out = ex.T @ (x.conj()[:, None] * ey)
     return np.conjugate(out, out=out)
 
 
 def _coord_term(a, z, ez, exs, ey, ys):
-    """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[t,x,y]
-    exp(-i phase_j)), [T, S*m, 2]: the coordinate gradient of one image
-    z [T,H,W] under upstream a. `ez` is ex @ z * ey, the forward transform of
-    z before its sum over y, and `exs` is ex * x."""
+    """Re(conj(a) d(forward z)/dk) = Im(conj(a_j) sum_{x,y} (x, y) z[x,y]
+    exp(-i phase_j)), [S*m, 2]: the coordinate gradient of one frame z [H,W]
+    under upstream a. `ez` is _product(ex, ey, z) and `exs` is ex * x."""
     a = a.conj()
-    return np.stack([np.imag(a * _forward(exs, ey, z)), np.imag(a * (ez @ ys))], axis=-1)
+    return np.stack([np.imag(a * _product(exs, ey, z).sum(-1)), np.imag(a * (ez @ ys))],
+                    axis=-1)
 
 
 def nudft_forward(z, coords):
@@ -88,8 +92,8 @@ def nudft_forward(z, coords):
     z = np.asarray(z)
     t_frames, h, w = z.shape
     coords = _validate_coords(coords, t_frames)
-    ex, ey = _phase_tables(coords, h, w)
-    return _forward(ex, ey, z).reshape(coords.shape[:-1])
+    out = [_product(*_phase_tables(coords, t, h, w), z[t]).sum(-1) for t in range(t_frames)]
+    return np.stack(out).reshape(coords.shape[:-1])
 
 
 def nudft_adjoint(x, coords, out_shape):
@@ -99,17 +103,47 @@ def nudft_adjoint(x, coords, out_shape):
     coords = _validate_coords(coords, t_frames)
     if x.shape != coords.shape[:-1]:
         raise AutodiffError(f"sample shape {x.shape} does not match coords {coords.shape[:-1]}")
-    ex, ey = _phase_tables(coords, h, w)
-    return _adjoint(ex, ey, x.reshape(t_frames, -1)) / (h * w)
+    x = x.reshape(t_frames, -1)
+    out = [_adjoint(*_phase_tables(coords, t, h, w), x[t]) for t in range(t_frames)]
+    return np.stack(out) / (h * w)
+
+
+def _acquire_frame(coords, t, frames, x, zt):
+    """Frame t of every image (frames [B,H,W]): its samples into x [B,S*m]
+    and its unscaled AᴴA into zt [B,H,W]. The tables are built here and go
+    with the return."""
+    ex, ey = _phase_tables(coords, t, *frames.shape[1:])
+    for b, frame in enumerate(frames):
+        x[b] = _product(ex, ey, frame).sum(-1)
+        zt[b] = _adjoint(ex, ey, x[b])
+
+
+def _frame_coord_grads(coords, t, frames, xt, gt):
+    """Frame t's two coordinate-gradient terms [S*m, 2], each summed over the
+    images (frames [B,H,W], samples xt [B,S*m], upstream gt [B,H,W]): the
+    adjoint transform's, still unscaled by 1/(H*W), and the forward's. The
+    tables are built here and go with the return."""
+    h, w = frames.shape[1:]
+    ex, ey = _phase_tables(coords, t, h, w)
+    xs, ys = _centered_axes(h, w)
+    exs = ex * xs
+    adj = fwd = 0.0
+    for zb, xb, gb in zip(frames, xt, gt):
+        egu = _product(ex, ey, gb)
+        u = egu.sum(-1) / (h * w)
+        adj = adj + _coord_term(xb, gb, egu, exs, ey, ys)
+        fwd = fwd + _coord_term(u, zb, _product(ex, ey, zb), exs, ey, ys)
+    return adj, fwd
 
 
 def acquire(z, coords: Tensor) -> Tensor:
     """Emulated acquisition AᴴA z / (H*W) of constant real images
     z [..., T,H,W] on the coords Tensor [T,S,m,2]: the regridded volumes as
     (real, imag) channels [..., 2,T,H,W]. Every image along the leading axes
-    is acquired with the same coords, from one build of the phase tables,
-    and contracted against them on its own: a broadcast matmul over the
-    leading axes is slower, and its backward's transients grow with them.
+    is acquired with the same coords, frame by frame: each frame's phase
+    tables are built once per pass and serve every image, which is
+    contracted against them on its own, so a pass holds one frame's tables
+    at a time.
 
     With X = A z and complex upstream G, U = A G / (H*W), the coordinate
     gradient is Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk), each
@@ -119,22 +153,19 @@ def acquire(z, coords: Tensor) -> Tensor:
     *_, t_frames, h, w = z.shape
     images = z.reshape((-1,) + z.shape[-3:])
     cd = _validate_coords(coords.data, t_frames)
-    ex, ey = _phase_tables(cd, h, w)
-    x = [_forward(ex, ey, zb) for zb in images]
-    zt = np.stack([_adjoint(ex, ey, xb) for xb in x]).reshape(z.shape) / (h * w)
+    x = np.empty(images.shape[:2] + (cd[0].size // 2,), dtype=np.complex128)
+    zt = np.empty(images.shape, dtype=np.complex128)
+    for t in range(t_frames):
+        _acquire_frame(cd, t, images[:, t], x[:, t], zt[:, t])
+    zt /= h * w
+    zt = zt.reshape(z.shape)
 
     def back(g):
-        ex, ey = _phase_tables(cd, h, w)  # rebuilt, not kept alive by the graph
-        xs, ys = _centered_axes(h, w)
-        exs = ex * xs
-        gu = (g[..., 0, :, :, :] + 1j * g[..., 1, :, :, :]).reshape(images.shape)
-        adj = fwd = 0.0
-        for zb, xb, gb in zip(images, x, gu):
-            egu = ex @ gb * ey
-            u = egu.sum(-1) / (h * w)
-            adj = adj + _coord_term(xb, gb, egu, exs, ey, ys)
-            fwd = fwd + _coord_term(u, zb, ex @ zb * ey, exs, ey, ys)
-        return (adj.reshape(cd.shape) / (h * w) + fwd.reshape(cd.shape),)
+        g = g.reshape((-1, 2) + images.shape[1:])
+        terms = [_frame_coord_grads(cd, t, images[:, t], x[:, t], g[:, 0, t] + 1j * g[:, 1, t])
+                 for t in range(t_frames)]
+        adj, fwd = (np.stack(part).reshape(cd.shape) for part in zip(*terms))
+        return (adj / (h * w) + fwd,)
 
     return Tensor.from_op(np.stack([zt.real, zt.imag], axis=-4), (coords,), back)
 

@@ -1,10 +1,12 @@
 """Tests for the command-line interface: exit codes, manifests, determinism."""
 
+import argparse
 import json
 import shutil
 
 import pytest
 
+from dyncs import cli
 from dyncs import data as dz
 from dyncs import metrics as qm
 from dyncs import pipeline as pl
@@ -52,6 +54,10 @@ def test_gen_data_writes_volumes_and_manifest(dataset):
     assert len(vols) == 3 and vols[0].shape == (8, GRID, GRID)
     manifest = json.loads((dataset / "manifest.json").read_text())
     assert manifest["count"] == 3
+    assert manifest["provenance"]["config"] == {"count": 3, "grid": GRID, "frames": 8,
+                                                "seed": 1, "noise": 0.0}
+    assert list(manifest["provenance"]["config"]) == ["count", "grid", "frames", "seed",
+                                                      "noise"]
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -113,6 +119,27 @@ def test_cli_chain_reruns_byte_identically(tmp_path, capsys):
             "run/export_attention.csv"} <= {str(name) for name in trees[0]}
     for name, content in trees[0].items():
         assert trees[1][name] == content, name
+
+
+def test_train_manifest_records_a_flag_added_to_the_parser(dataset, tmp_path, monkeypatch):
+    # the manifest's config is every train flag but --data, --out and
+    # --config, in parser order, so a new flag reaches it without more code
+    build = cli.build_parser
+
+    def with_new_flag():
+        parser = build()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices["train"].add_argument("--new-flag", type=int, default=7)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", with_new_flag)
+    out = tmp_path / "run"
+    assert main(_train_args(dataset, out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert list(config) == ["shots", "points_per_shot", "epochs", "lr_traj", "lr_net",
+                            "batch", "traj", "seed", "frames_k", "channels", "blocks",
+                            "heads", "window", "new_flag"]
+    assert config["new_flag"] == 7 and config["window"] == "2,2,2"
 
 
 def test_train_missing_dataset_fails(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the exact nonuniform DFT, its adjoint and the acquisition node."""
 
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -156,10 +158,11 @@ def test_phase_tables_equal_the_complex_exponential(data, h, w, m):
     coords[1, 0, 0] = (-np.pi, np.pi)
     xs = np.arange(h) - h // 2
     ys = np.arange(w) - w // 2
-    ex, ey = nufft._phase_tables(coords, h, w)
-    flat = coords.reshape(2, -1, 2)
-    assert np.array_equal(ex, np.exp(-1j * (flat[..., 0, None] * xs)))
-    assert np.array_equal(ey, np.exp(-1j * (flat[..., 1, None] * ys)))
+    for t in range(2):
+        ex, ey = nufft._phase_tables(coords, t, h, w)
+        flat = coords[t].reshape(-1, 2)
+        assert np.array_equal(ex, np.exp(-1j * (flat[:, 0, None] * xs)))
+        assert np.array_equal(ey, np.exp(-1j * (flat[:, 1, None] * ys)))
 
 
 def test_zero_samples_give_zero_image():
@@ -229,18 +232,69 @@ def test_acquire_coord_gradients_match_finite_differences():
         assert grad_check(seeded(lambda c: acquire(z, c), seed), coords0) < 1e-5
 
 
+@settings(max_examples=40)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(1, 4),
+       st.integers(2, 5), st.integers(2, 5))
+def test_acquire_coord_gradient_matches_central_differences(data, t_frames, n_images,
+                                                            shots, m, h, w):
+    """acquire's coordinate gradient, summed over a batch of images, against
+    central differences of <seed, acquire(z, c)> on random trajectories that
+    stay inside the box [-pi, pi] under every probe."""
+    coords0 = data.draw(hnp.arrays(np.float64, (t_frames, shots, m, 2),
+                                   elements=st.floats(-3.1, 3.1)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    z = rng.normal(size=(n_images, t_frames, h, w))
+    seed = rng.normal(size=(n_images, 2, t_frames, h, w))
+    probe = Tensor(coords0, requires_grad=True)
+    acquire(z, probe).backward(seed)
+    step = 1e-5
+    numeric = np.empty(coords0.size)
+    for i, delta in enumerate(step * np.eye(coords0.size)):
+        delta = delta.reshape(coords0.shape)
+        up, down = (acquire(z, Tensor(coords0 + s * delta)).data for s in (1, -1))
+        numeric[i] = ((up - down) * seed).sum() / (2 * step)
+    analytic = probe.grad.ravel()
+    assert np.abs(analytic - numeric).max() <= 1e-7 * np.abs(analytic).max() + 1e-9
+
+
+def test_acquire_memory_peaks_at_the_train_traj_64_shape():
+    """One acquire forward, and its backward, at the train-traj-64 shape (4
+    images, T=4, grid 64, 8x128 points) hold one frame's phase tables at a
+    time: ~4.6 and ~6.8 MB above what each pass starts from, against ~13.9
+    and ~26.7 MB when a pass builds every frame's tables at once."""
+    rng = np.random.default_rng(16)
+    z = rng.normal(size=(4, 4, 64, 64))
+    coords = Tensor(_random_coords(rng, (4, 8, 128)), requires_grad=True)
+    seed = rng.normal(size=(4, 2, 4, 64, 64))
+    tracemalloc.start()
+    try:
+        node = acquire(z, coords)
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        node.backward(seed)
+        backward = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert forward < 7e6
+    assert backward < 9e6
+
+
 def _acquire_terms(z, coords0, seed):
     """acquire's coordinate gradient under upstream `seed`, split into its two
     terms with nufft's helpers: (adjoint-transform term, forward-transform
     term), each [T,S,m,2]. Their sum is acquire's backward, bit for bit."""
     h, w = z.shape[1:]
-    ex, ey = nufft._phase_tables(coords0, h, w)
     xs, ys = nufft._centered_axes(h, w)
-    g = seed[0] + 1j * seed[1]
-    egu = ex @ g * ey
-    adj = nufft._coord_term(nufft._forward(ex, ey, z), g, egu, ex * xs, ey, ys)
-    fwd = nufft._coord_term(egu.sum(-1) / (h * w), z, ex @ z * ey, ex * xs, ey, ys)
-    adj, fwd = adj.reshape(coords0.shape) / (h * w), fwd.reshape(coords0.shape)
+    adj, fwd = [], []
+    for t, (zt, gt) in enumerate(zip(z, seed[0] + 1j * seed[1])):
+        ex, ey = nufft._phase_tables(coords0, t, h, w)
+        egu = nufft._product(ex, ey, gt)
+        x = nufft._product(ex, ey, zt).sum(-1)
+        adj.append(nufft._coord_term(x, gt, egu, ex * xs, ey, ys))
+        fwd.append(nufft._coord_term(egu.sum(-1) / (h * w), zt, nufft._product(ex, ey, zt),
+                                     ex * xs, ey, ys))
+    adj, fwd = np.reshape(adj, coords0.shape) / (h * w), np.reshape(fwd, coords0.shape)
     (total,) = acquire(z, Tensor(coords0, requires_grad=True))._backward(seed)
     assert np.array_equal(total, adj + fwd)
     return adj, fwd
@@ -317,17 +371,19 @@ def test_acquire_rejects_frame_count_mismatch():
 
 
 def test_acquire_builds_phase_tables_once_per_pass(monkeypatch):
-    calls = []
+    frames = []
     build = nufft._phase_tables
     monkeypatch.setattr(nufft, "_phase_tables",
-                        lambda *args: calls.append(args) or build(*args))
+                        lambda coords, t, h, w: frames.append(t) or build(coords, t, h, w))
     rng = np.random.default_rng(13)
-    coords = _random_coords(rng, (2, 2, 3))
-    for z in (rng.normal(size=(2, 5, 4)), rng.normal(size=(3, 2, 5, 4))):
-        calls.clear()
+    coords = _random_coords(rng, (3, 2, 3))
+    # one image, then a batch of two: each pass builds frame t's tables once,
+    # in frame order, whatever the number of images
+    for z in (rng.normal(size=(3, 5, 4)), rng.normal(size=(2, 3, 5, 4))):
+        frames.clear()
         acquire(z, Tensor(coords))
-        assert len(calls) == 1
-        calls.clear()
+        assert frames == [0, 1, 2]
+        frames.clear()
         learnable = Tensor(coords, requires_grad=True)
         acquire(z, learnable).backward()
-        assert len(calls) == 2  # one for the forward, one for the backward
+        assert frames == [0, 1, 2] * 2  # the forward's frames, then the backward's

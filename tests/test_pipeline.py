@@ -265,10 +265,10 @@ def test_training_keeps_trajectory_feasible():
 
 @pytest.mark.parametrize("learnable", [True, False], ids=["learned", "frozen"])
 def test_training_builds_phase_tables_once_per_acquisition(monkeypatch, learnable):
-    builds = []
+    frames = []
     build = nufft._phase_tables
     monkeypatch.setattr(nufft, "_phase_tables",
-                        lambda *args: builds.append(args) or build(*args))
+                        lambda coords, t, h, w: frames.append(t) or build(coords, t, h, w))
     volumes = [gen_phantom(PhantomSpec(grid=(12, 12), frames=4, seed=s))
                for s in range(5)]
     tcfg = pl.TrainConfig(epochs_main=2, seed=0, batch=2, frames_k=4, val_fraction=0.4)
@@ -278,9 +278,10 @@ def test_training_builds_phase_tables_once_per_acquisition(monkeypatch, learnabl
     pl.train_main(volumes, tcfg, _pcfg(12), rcfg,
                   init_recon_params(rcfg, np.random.default_rng(0)), traj)
     # per epoch: 3 training samples in steps of 2 and 1, then 2 validation
-    # samples; a learned step builds the tables for its forward and backward
+    # samples; a learned step builds the tables for its forward and backward,
+    # and each pass builds frame t's tables once, whatever its sample count
     per_step = 2 if learnable else 1
-    assert len(builds) == tcfg.epochs_main * (2 * per_step + 1)
+    assert frames == [0, 1, 2, 3] * (tcfg.epochs_main * (2 * per_step + 1))
 
 
 def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
@@ -457,13 +458,13 @@ def test_stacked_eval_equals_plain_inference_at_t_equals_k(trained_small):
 def test_stacked_eval_padded_tail_arithmetic(trained_small, monkeypatch):
     result, rcfg = trained_small
     z = gen_phantom(PhantomSpec(grid=(24, 24), frames=11, seed=10))
-    builds = []
+    frames = []
     build = nufft._phase_tables
     monkeypatch.setattr(nufft, "_phase_tables",
-                        lambda *args: builds.append(args) or build(*args))
+                        lambda coords, t, h, w: frames.append(t) or build(coords, t, h, w))
     res = pl.evaluate_stacked(result.trajectory, result.params, rcfg, z, k=4)
     monkeypatch.undo()
-    assert len(builds) == 1  # all three windows share one acquisition
+    assert frames == [0, 1, 2, 3]  # all three windows share one acquisition
     assert res.reconstruction.shape == (11, 24, 24)
     assert len(res.mu) == 10
     # the cropped tail must equal reconstructing the zero-padded window
