@@ -29,8 +29,8 @@ from . import metrics as qm
 from . import pipeline as pl
 from .recon import (ReconConfig, export_attention, init_recon_params, load_checkpoint,
                     recon_forward, region_windows, save_checkpoint, window_grid)
-from .trajectory import (PhysicsConfig, export_trajectory, init_golden_angle, init_radial,
-                         kinematic_bounds, load_trajectory)
+from .trajectory import (PROJECTION_TOL, PhysicsConfig, export_trajectory, feasibility_report,
+                         init_golden_angle, init_radial, kinematic_bounds, load_trajectory)
 
 
 class UsageError(ValueError):
@@ -74,7 +74,12 @@ def _write_history(path, history, keep_stage=None):
 
 
 def _dataset_hash(data_dir):
-    return hashlib.sha256((Path(data_dir) / dz.MANIFEST_NAME).read_bytes()).hexdigest()
+    """SHA-256 over the dataset's manifest, then each volume file in order."""
+    data_dir = Path(data_dir)
+    digest = hashlib.sha256((data_dir / dz.MANIFEST_NAME).read_bytes())
+    for i in range(json.loads((data_dir / dz.MANIFEST_NAME).read_text())["count"]):
+        digest.update((data_dir / f"vol_{i}.f64").read_bytes())
+    return digest.hexdigest()
 
 
 def _check_metric_frames(volumes):
@@ -84,9 +89,43 @@ def _check_metric_frames(volumes):
 
 def _flag_config(args, parser):
     """The command's flag values in parser order, for its manifest: every
-    flag but the paths (--data, --out) and --config."""
+    flag but the paths (--data, --out, --run) and --config."""
     return {a.dest: getattr(args, a.dest) for a in parser._actions
-            if a.dest not in ("help", "data", "out", "config")}
+            if a.dest not in ("help", "data", "out", "run", "config")}
+
+
+def _open_run(run_dir, refined):
+    """The run's manifest, recon config, parameters, trajectory and the
+    kinematic bounds it was exported under: the refined checkpoint and
+    trajectory if `refined` and the run has them, else the pre-refine ones.
+    A trajectory that breaks its own bounds is a usage error."""
+    run_dir = Path(run_dir)
+    refined = refined and (run_dir / "checkpoint_refined.json").exists()
+    suffix = "_refined" if refined else ""
+    for name in ("manifest.json", f"checkpoint{suffix}.json"):
+        if not (run_dir / name).exists():
+            raise UsageError(f"no {name} in {run_dir}")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
+    traj, bounds = load_trajectory(run_dir / f"traj{suffix}")
+    violation = max(feasibility_report(traj.coords, bounds))
+    if violation > PROJECTION_TOL:
+        raise UsageError(f"traj{suffix} breaks its kinematic bounds by {violation:.3g} rad")
+    return manifest, rcfg, params, traj, bounds
+
+
+def _load_data(data_dir, frames, bounds=None):
+    """The dataset's volumes and the `PhysicsConfig` of their grid. Volumes
+    of fewer than `frames` frames, or, given a run's `bounds`, a grid whose
+    kinematic bounds differ from them, are a usage error."""
+    volumes = dz.load_dataset(data_dir)
+    if not volumes or volumes[0].shape[0] < frames:
+        raise UsageError(f"the dataset needs at least one volume of {frames} or more frames")
+    grid = volumes[0].shape[1]
+    pcfg = PhysicsConfig(grid=(grid, grid))
+    if bounds is not None and kinematic_bounds(pcfg) != bounds:
+        raise UsageError(f"the run's kinematic bounds are not those of a {grid} px grid")
+    return volumes, pcfg
 
 
 # -- commands -----------------------------------------------------------------
@@ -145,13 +184,8 @@ def cmd_train(args, parser):
     with _flags("trajectory flags"):
         trajectory = init(k, args.shots, args.points_per_shot)
     trajectory.learnable = args.traj == "learned" and args.lr_traj > 0
-    volumes = dz.load_dataset(args.data)
+    volumes, pcfg = _load_data(args.data, k)
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
-    if not samples:
-        raise UsageError(f"dataset frames < --frames-k {k}")
-
-    grid = volumes[0].shape[1]
-    pcfg = PhysicsConfig(grid=(grid, grid))
     rng = np.random.default_rng(args.seed)
     params = init_recon_params(rcfg, rng)
 
@@ -168,25 +202,9 @@ def cmd_train(args, parser):
           f"(final val loss {result.history[-1]['val_loss']:.6g})")
 
 
-def _load_run(run_dir, refined):
-    """The run's manifest, recon config, parameters and trajectory: the
-    refined checkpoint and trajectory if `refined` and the run has them, else
-    the pre-refine ones."""
-    run_dir = Path(run_dir)
-    refined = refined and (run_dir / "checkpoint_refined.json").exists()
-    suffix = "_refined" if refined else ""
-    for name in ("manifest.json", f"checkpoint{suffix}.json"):
-        if not (run_dir / name).exists():
-            raise UsageError(f"no {name} in {run_dir}")
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
-    traj = load_trajectory(run_dir / f"traj{suffix}")
-    return manifest, rcfg, params, traj
-
-
-def cmd_refine(args):
+def cmd_refine(args, parser):
     run_dir = Path(args.run)
-    manifest, rcfg, params, trajectory = _load_run(run_dir, refined=False)
+    manifest, rcfg, params, trajectory, bounds = _open_run(run_dir, refined=False)
     cfg = manifest["config"]
     with _flags("refine flags"):
         tcfg = pl.TrainConfig(epochs_refine=args.epochs_refine,
@@ -202,35 +220,33 @@ def cmd_refine(args):
                          "refine (--lr-traj-refine 0 or a run without a learned trajectory)")
 
     k = tcfg.frames_k
-    volumes = dz.load_dataset(args.data)
-    if volumes[0].shape[0] < 2 * k:
-        raise UsageError(f"refinement needs volumes with at least {2 * k} frames")
-    grid = volumes[0].shape[1]
+    volumes, pcfg = _load_data(args.data, 2 * k, bounds)
+    if _dataset_hash(args.data) != manifest["input_hashes"]["dataset"]:
+        raise UsageError("refinement needs the dataset the run was trained on")
 
     samples_k = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     mu_x = pl.dataset_mu(samples_k, mode=tcfg.mu_mode)
     samples_2k = [u for v in volumes
                   for u in dz.partition_frames(v, 2 * k, pad=False)]
 
-    pcfg = PhysicsConfig(grid=(grid, grid))
-
     result = pl.train_refine(samples_2k, tcfg, mu_x, pcfg, rcfg, params, trajectory)
 
     save_checkpoint(run_dir / "checkpoint_refined", rcfg, result.params)
-    export_trajectory(result.trajectory, run_dir / "traj_refined",
-                      kinematic_bounds(pcfg))
+    export_trajectory(result.trajectory, run_dir / "traj_refined", bounds)
     _write_history(run_dir / "history.csv", result.history, keep_stage="main")
     (run_dir / "mu_stats.json").write_text(json.dumps(
         {"mu_x": mu_x, "mode": tcfg.mu_mode, "lambda_ref": args.lambda_ref}))
+    manifest["refine"] = _flag_config(args, parser)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"refined run in {run_dir} (mu_X = {mu_x:.6g})")
 
 
 def cmd_stack_eval(args, plain=False):
     if not plain and args.total_frames < 1:
         raise UsageError("--total-frames must be >= 1")
-    manifest, rcfg, params, traj = _load_run(args.run, not args.use_pre_refine)
+    manifest, rcfg, params, traj, bounds = _open_run(args.run, not args.use_pre_refine)
     k = manifest["config"]["frames_k"]
-    volumes = dz.load_dataset(args.data)
+    volumes, _ = _load_data(args.data, 0, bounds)  # any length: tiled to `total`
     _check_metric_frames(volumes)
     total = k if plain else args.total_frames
 
@@ -249,6 +265,7 @@ def cmd_stack_eval(args, plain=False):
     summary = {
         "total_frames": total,
         "k": k,
+        "dataset": _dataset_hash(args.data),
         "psnr": float(np.mean([r["psnr"] for r in reports
                                if r["psnr"] != "identical"] or [np.inf])),
         "vif": float(np.mean([r["vif"] for r in reports])),
@@ -264,10 +281,10 @@ def cmd_stack_eval(args, plain=False):
 
 def cmd_export(args):
     run_dir = Path(args.run)
-    manifest, rcfg, params, traj = _load_run(run_dir, refined=True)
+    manifest, rcfg, params, traj, bounds = _open_run(run_dir, refined=True)
     out = Path(args.out) if args.out else run_dir / f"export_{args.what}"
     if args.what == "trajectory":
-        export_trajectory(traj, out)
+        export_trajectory(traj, out, bounds)
         print(f"trajectory exported to {out}.csv")
         return
     # attention: run one volume through the network and dump the maps
@@ -275,10 +292,8 @@ def cmd_export(args):
         raise UsageError("attention export needs --data")
     if not 0 <= args.block < rcfg.n_blocks:
         raise UsageError(f"--block must lie in [0, {rcfg.n_blocks})")
-    volumes = dz.load_dataset(args.data)
     k = manifest["config"]["frames_k"]
-    if volumes[0].shape[0] < k:
-        raise UsageError(f"attention export needs volumes with at least {k} frames")
+    volumes, _ = _load_data(args.data, k, bounds)
     z = volumes[0][:k]
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
     # the padded window grid depends only on the volume shape
@@ -356,7 +371,7 @@ def build_parser():
     p.add_argument("--lr-net-refine", type=float, default=2e-6)
     p.add_argument("--signed-mu", action="store_true")
     p.add_argument("--freeze-theta", action="store_true")
-    p.set_defaults(func=cmd_refine)
+    p.set_defaults(func=functools.partial(cmd_refine, parser=p))
 
     for name, plain in (("eval", True), ("stack-eval", False)):
         p = sub.add_parser(name, help="evaluate a trained run")

@@ -211,8 +211,9 @@ def project_kinematic(coords, b: KinematicBounds):
     return _project_curves(coords.reshape(-1, *coords.shape[-2:]), b).reshape(coords.shape)
 
 
-def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None):
-    """Write <path>.json metadata and <path>.csv coordinate table, one row
+def export_trajectory(k: Trajectory, path, bounds: KinematicBounds):
+    """Write <path>.json metadata, with the kinematic `bounds` the trajectory
+    is feasible under, and <path>.csv coordinate table, one row
     (frame, shot, index, kx, ky) per point through `data.write_csv`."""
     path = Path(path)
     meta = {
@@ -221,20 +222,23 @@ def export_trajectory(k: Trajectory, path, bounds: KinematicBounds | None = None
         "points_per_shot": k.coords.shape[2],
         "units": "radians",
         "learnable": k.learnable,
+        "bounds": {"alpha": bounds.alpha, "beta": bounds.beta},
     }
-    if bounds is not None:
-        meta["bounds"] = {"alpha": bounds.alpha, "beta": bounds.beta}
     path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
     write_csv(path.with_suffix(".csv"), ["frame", "shot", "index", "kx", "ky"],
               ([*idx, *k.coords[idx]] for idx in np.ndindex(k.coords.shape[:3])))
 
 
-def load_trajectory(path) -> Trajectory:
-    """Read back an `export_trajectory` pair; every (frame, shot, index) row
-    must appear exactly once, with five fields, and the table must end in a
-    line end, so a file cut inside its last row is an error."""
+def load_trajectory(path) -> tuple[Trajectory, KinematicBounds]:
+    """Read back an `export_trajectory` pair: the trajectory and the bounds it
+    was exported under. Every (frame, shot, index) row must appear exactly
+    once, with five fields, and the table must end in a line end, so a file
+    cut inside its last row is an error."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
+    if "bounds" not in meta:
+        raise TrajectoryError(f"{path.with_suffix('.json')} records no kinematic bounds")
+    bounds = KinematicBounds(**meta["bounds"])
     shape = (meta["n_frames"], meta["n_shots"], meta["points_per_shot"])
     coords = np.zeros(shape + (2,))
     seen = np.zeros(shape, dtype=bool)
@@ -256,4 +260,4 @@ def load_trajectory(path) -> Trajectory:
         first = tuple(int(i) for i in np.argwhere(~seen)[0])
         raise TrajectoryError(f"{int((~seen).sum())} rows missing, first "
                               f"(frame, shot, index) = {first}")
-    return Trajectory(coords, learnable=meta.get("learnable", True))
+    return Trajectory(coords, learnable=meta.get("learnable", True)), bounds

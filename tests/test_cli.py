@@ -4,6 +4,7 @@ import argparse
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from dyncs import cli
@@ -43,10 +44,59 @@ def small_frames(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def other_grid(tmp_path_factory):
+    """Frames of 32 px a side: large enough for the metrics, but their
+    kinematic bounds are not those of a run trained at GRID."""
+    path = tmp_path_factory.mktemp("ds32") / "data"
+    assert main(["gen-data", "--out", str(path), "--count", "3", "--grid", "32",
+                 "--frames", "8", "--seed", "1"]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def other_data(tmp_path_factory):
+    """A dataset of the run's grid and shape, drawn from another seed."""
+    path = tmp_path_factory.mktemp("ds-other") / "data"
+    assert main(["gen-data", "--out", str(path), "--count", "3", "--grid", str(GRID),
+                 "--frames", "8", "--seed", "2"]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
 def run_dir(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("runs") / "run"
     assert main(_train_args(dataset, out)) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def small_run(small_frames, tmp_path_factory):
+    """A run trained on the 16 px frames of `small_frames`."""
+    out = tmp_path_factory.mktemp("runs16") / "run"
+    assert main(_train_args(small_frames, out)) == 0
+    return out
+
+
+def _no_compute(monkeypatch):
+    """Make refinement, evaluation and the acquisition fail if they run."""
+    def compute(*args, **kwargs):
+        raise AssertionError("computed before the run and its data were checked")
+
+    for name in ("train_refine", "evaluate_stacked", "acquire"):
+        monkeypatch.setattr(pl, name, compute)
+
+
+def _add_flag(monkeypatch, command):
+    """Give the `command` subparser a --new-flag (an int, default 7)."""
+    build = cli.build_parser
+
+    def with_new_flag():
+        parser = build()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[command].add_argument("--new-flag", type=int, default=7)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", with_new_flag)
 
 
 def test_gen_data_writes_volumes_and_manifest(dataset):
@@ -124,15 +174,7 @@ def test_cli_chain_reruns_byte_identically(tmp_path, capsys):
 def test_train_manifest_records_a_flag_added_to_the_parser(dataset, tmp_path, monkeypatch):
     # the manifest's config is every train flag but --data, --out and
     # --config, in parser order, so a new flag reaches it without more code
-    build = cli.build_parser
-
-    def with_new_flag():
-        parser = build()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        sub.choices["train"].add_argument("--new-flag", type=int, default=7)
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", with_new_flag)
+    _add_flag(monkeypatch, "train")
     out = tmp_path / "run"
     assert main(_train_args(dataset, out)) == 0
     config = json.loads((out / "manifest.json").read_text())["config"]
@@ -256,6 +298,93 @@ def test_refine_appends_history_and_writes_artifacts(dataset, run_dir, tmp_path)
         assert (run / name).exists()
 
 
+def test_refine_manifest_records_a_flag_added_to_the_parser(dataset, run_dir, tmp_path,
+                                                           monkeypatch, capsys):
+    # refine's flags but --run and --data go under "refine" in the run's one
+    # manifest, in parser order; the train record stays as it was
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    trained = json.loads((run / "manifest.json").read_text())
+    _add_flag(monkeypatch, "refine")
+    assert main(["refine", "--run", str(run), "--data", str(dataset),
+                 "--epochs-refine", "1", "--freeze-theta"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["refine"] == {"lambda_ref": 5.0, "epochs_refine": 1,
+                                  "lr_traj_refine": 7e-4, "lr_net_refine": 2e-6,
+                                  "signed_mu": False, "freeze_theta": True, "new_flag": 7}
+    assert list(manifest["refine"]) == ["lambda_ref", "epochs_refine", "lr_traj_refine",
+                                        "lr_net_refine", "signed_mu", "freeze_theta",
+                                        "new_flag"]
+    assert {key: manifest[key] for key in trained} == trained
+    assert sorted(run.glob("manifest*")) == [run / "manifest.json"]
+
+
+def test_refine_on_other_data_is_usage_error(other_data, run_dir, tmp_path, capsys,
+                                             monkeypatch):
+    # same grid and shape, other volumes: the dataset hash tells them apart
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    history = (run / "history.csv").read_bytes()
+    _no_compute(monkeypatch)
+    rc = main(["refine", "--run", str(run), "--data", str(other_data),
+               "--epochs-refine", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "trained on" in err["message"]
+    assert not list(run.glob("*_refined.*")) and not (run / "mu_stats.json").exists()
+    assert (run / "history.csv").read_bytes() == history
+
+
+def test_dataset_hash_covers_the_volume_files(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    dz.save_dataset(a, [np.zeros((2, 4, 4))])
+    dz.save_dataset(b, [np.ones((2, 4, 4))])
+    assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+    assert cli._dataset_hash(a) != cli._dataset_hash(b)
+
+
+@pytest.mark.parametrize("command", [["eval"], ["stack-eval", "--total-frames", "8"],
+                                     ["refine"], ["export", "attention"]],
+                         ids=["eval", "stack-eval", "refine", "export-attention"])
+def test_run_on_data_of_another_grid_is_usage_error(other_grid, run_dir, tmp_path, capsys,
+                                                    monkeypatch, command):
+    # the kinematic bounds scale as 1/H: the run's trajectory was projected
+    # under those of its own grid, not of this one
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    _no_compute(monkeypatch)
+    out = [] if command == ["refine"] else ["--out", str(tmp_path / "out")]
+    rc = main(command + ["--run", str(run), "--data", str(other_grid)] + out)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "grid" in err["message"]
+    assert not list(tmp_path.glob("out*")) and not list(run.glob("*_refined.*"))
+
+
+@pytest.mark.parametrize("command", [["eval"], ["refine"], ["export", "trajectory"]],
+                         ids=["eval", "refine", "export-trajectory"])
+def test_run_with_an_infeasible_trajectory_is_usage_error(dataset, run_dir, tmp_path,
+                                                          capsys, monkeypatch, command):
+    # one interior point of the first shot moves 0.5 rad, inside the box:
+    # the file still parses, but its curve breaks the recorded bounds
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    rows = (run / "traj.csv").read_text().splitlines()
+    frame, shot, index, kx, ky = rows[4].split(",")
+    assert (frame, shot, index) == ("0", "0", "3")
+    kx = float(kx) - 0.5 if float(kx) > 0 else float(kx) + 0.5
+    rows[4] = ",".join([frame, shot, index, repr(kx), ky])
+    (run / "traj.csv").write_text("\n".join(rows) + "\n")
+    _no_compute(monkeypatch)
+    out = [] if command == ["refine"] else ["--out", str(tmp_path / "out")]
+    rc = main(command + ["--run", str(run), "--data", str(dataset)] + out)
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "bounds" in err["message"]
+    assert not list(tmp_path.glob("out*")) and not list(run.glob("*_refined.*"))
+
+
 def test_second_refine_replaces_refine_rows(dataset, run_dir, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)
@@ -352,18 +481,30 @@ def test_stack_eval_invalid_total_frames_is_usage_error(run_dir, tmp_path, capsy
 
 @pytest.mark.parametrize("command", [["eval"], ["stack-eval", "--total-frames", "8"]])
 def test_eval_on_frames_too_small_for_the_metrics_is_usage_error(
-        small_frames, run_dir, tmp_path, capsys, monkeypatch, command):
-    # the frame size is checked before any reconstruction
+        small_frames, small_run, tmp_path, capsys, monkeypatch, command):
+    # the frame size is checked before any reconstruction; the run was
+    # trained on these frames, so only the frame size stands in the way
     def evaluate_stacked(*args, **kwargs):
         raise AssertionError("reconstructed before the frame size was checked")
 
     monkeypatch.setattr(pl, "evaluate_stacked", evaluate_stacked)
     out = tmp_path / "eval"
-    rc = main(command + ["--run", str(run_dir), "--data", str(small_frames),
+    rc = main(command + ["--run", str(small_run), "--data", str(small_frames),
                          "--out", str(out)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not out.exists()
+
+
+def test_stack_eval_on_other_data_of_the_grid_records_its_hash(other_data, run_dir,
+                                                                tmp_path, capsys):
+    out = tmp_path / "other"
+    assert main(["stack-eval", "--run", str(run_dir), "--data", str(other_data),
+                 "--out", str(out), "--total-frames", "4"]) == 0
+    capsys.readouterr()
+    dataset_hash = json.loads((out / "metrics.json").read_text())["dataset"]
+    trained_on = json.loads((run_dir / "manifest.json").read_text())["input_hashes"]
+    assert dataset_hash == cli._dataset_hash(other_data) != trained_on["dataset"]
 
 
 def test_stack_eval_marks_transitions(dataset, run_dir, tmp_path, capsys):
@@ -382,6 +523,8 @@ def test_export_trajectory(run_dir, tmp_path, capsys):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.with_suffix(".csv").exists()
+    exported = json.loads(out.with_suffix(".json").read_text())
+    assert exported["bounds"] == json.loads((run_dir / "traj.json").read_text())["bounds"]
 
 
 def test_export_attention_rows_sum_to_one(dataset, run_dir, tmp_path, capsys):

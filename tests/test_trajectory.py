@@ -341,15 +341,26 @@ def test_report_nonpositive_after_projection():
 def test_export_round_trip_bit_exact(tmp_path):
     k = init_golden_angle(3, 2, 7)
     export_trajectory(k, tmp_path / "traj", KinematicBounds(0.1, 0.05))
-    back = load_trajectory(tmp_path / "traj")
+    back, bounds = load_trajectory(tmp_path / "traj")
     np.testing.assert_array_equal(back.coords, k.coords)
     assert back.learnable == k.learnable
+    assert bounds == KinematicBounds(0.1, 0.05)
+
+
+def test_load_rejects_metadata_without_bounds(tmp_path):
+    import json
+    export_trajectory(init_radial(2, 2, 4), tmp_path / "traj", KinematicBounds(0.1, 0.05))
+    meta = json.loads((tmp_path / "traj.json").read_text())
+    del meta["bounds"]
+    (tmp_path / "traj.json").write_text(json.dumps(meta))
+    with pytest.raises(TrajectoryError, match="bounds"):
+        load_trajectory(tmp_path / "traj")
 
 
 def test_export_header_records_frame_count(tmp_path):
     import json
     k = init_radial(8, 2, 4)
-    export_trajectory(k, tmp_path / "traj")
+    export_trajectory(k, tmp_path / "traj", kinematic_bounds(PhysicsConfig()))
     meta = json.loads((tmp_path / "traj.json").read_text())
     assert meta["n_frames"] == 8 and meta["units"] == "radians"
 
@@ -357,7 +368,7 @@ def test_export_header_records_frame_count(tmp_path):
 def test_export_contains_one_section_per_frame(tmp_path):
     import csv
     k = init_radial(8, 2, 4)
-    export_trajectory(k, tmp_path / "traj")
+    export_trajectory(k, tmp_path / "traj", kinematic_bounds(PhysicsConfig()))
     with open(tmp_path / "traj.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     frames = {int(r[0]) for r in rows}
@@ -367,7 +378,8 @@ def test_export_contains_one_section_per_frame(tmp_path):
 
 def _export_rows(tmp_path):
     import csv
-    export_trajectory(init_golden_angle(2, 2, 3), tmp_path / "traj")
+    export_trajectory(init_golden_angle(2, 2, 3), tmp_path / "traj",
+                      kinematic_bounds(PhysicsConfig()))
     with open(tmp_path / "traj.csv", newline="") as fh:
         return list(csv.reader(fh))
 
