@@ -2,9 +2,9 @@
 evaluation with trajectory stacking, and data export for plots.
 
 Exit codes: 0 success, 2 usage error, 1 runtime failure (with a JSON error
-object on stderr). A ValueError raised while a config, the initial
-trajectory or an export region is built from flags is a usage error
-(`_flags`). Every run directory holds exactly one manifest.json and reruns
+object on stderr). A ValueError raised while a config, the phantoms, the
+initial trajectory or an export region is built from flags, or the physics
+config from the data's grid, is a usage error (`_flags`). Every run directory holds exactly one manifest.json and reruns
 under an equal manifest reproduce outputs byte-identically.
 """
 
@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -39,8 +38,8 @@ class UsageError(ValueError):
 
 @contextlib.contextmanager
 def _flags(what):
-    """Report a ValueError raised while `what` is built from flags (a config,
-    the initial trajectory, an export region) as a usage error."""
+    """Report a ValueError raised while `what` (a config, the phantoms, the
+    initial trajectory, an export region) is built as a usage error."""
     try:
         yield
     except ValueError as exc:
@@ -71,15 +70,6 @@ def _write_history(path, history, keep_stage=None):
     rows = [[row["epoch"], row["stage"], row["train_loss"], row["val_loss"],
              row["max_violation"]] for row in history]
     dz.write_csv(path, header, kept + rows)
-
-
-def _dataset_hash(data_dir):
-    """SHA-256 over the dataset's manifest, then each volume file in order."""
-    data_dir = Path(data_dir)
-    digest = hashlib.sha256((data_dir / dz.MANIFEST_NAME).read_bytes())
-    for i in range(json.loads((data_dir / dz.MANIFEST_NAME).read_text())["count"]):
-        digest.update((data_dir / f"vol_{i}.f64").read_bytes())
-    return digest.hexdigest()
 
 
 def _check_metric_frames(volumes):
@@ -115,38 +105,31 @@ def _open_run(run_dir, refined):
 
 
 def _load_data(data_dir, frames, bounds=None):
-    """The dataset's volumes and the `PhysicsConfig` of their grid. Volumes
-    of fewer than `frames` frames, or, given a run's `bounds`, a grid whose
-    kinematic bounds differ from them, are a usage error."""
-    volumes = dz.load_dataset(data_dir)
+    """The dataset's volumes, digest and `PhysicsConfig`. Volumes of fewer
+    than `frames` frames, a grid that `PhysicsConfig` rejects or, given a
+    run's `bounds`, a grid of other kinematic bounds are a usage error."""
+    volumes, digest = dz.load_dataset(data_dir)
     if not volumes or volumes[0].shape[0] < frames:
         raise UsageError(f"the dataset needs at least one volume of {frames} or more frames")
-    grid = volumes[0].shape[1]
-    pcfg = PhysicsConfig(grid=(grid, grid))
+    with _flags("dataset frames"):
+        pcfg = PhysicsConfig(grid=volumes[0].shape[1:])
     if bounds is not None and kinematic_bounds(pcfg) != bounds:
-        raise UsageError(f"the run's kinematic bounds are not those of a {grid} px grid")
-    return volumes, pcfg
+        raise UsageError("the run's kinematic bounds are not those of a "
+                         f"{pcfg.grid[0]} px grid")
+    return volumes, digest, pcfg
 
 
 # -- commands -----------------------------------------------------------------
 
 def cmd_gen_data(args, parser):
-    if args.grid < 4:
-        raise UsageError("--grid must be at least 4")
-    if args.count < 1 or args.frames < 1 or not args.noise >= 0:  # NaN fails too
-        raise UsageError("--count and --frames must be positive, --noise non-negative")
-    volumes = dz.gen_dataset(args.count, grid=(args.grid, args.grid),
-                             frames=args.frames, seed=args.seed,
-                             noise_sigma=args.noise)
-    out = Path(args.out)
-    dz.save_dataset(out, volumes)
-    config = _flag_config(args, parser)
-    # fold the run provenance into the dataset manifest (one manifest per dir)
-    manifest = json.loads((out / dz.MANIFEST_NAME).read_text())
-    manifest["provenance"] = {"command": "gen-data", "version": __version__,
-                              "seed": args.seed, "config": config}
-    (out / dz.MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-    print(f"wrote {args.count} volumes to {out}")
+    with _flags("dataset flags"):
+        volumes = dz.gen_dataset(args.count, grid=(args.grid, args.grid),
+                                 frames=args.frames, seed=args.seed,
+                                 noise_sigma=args.noise)
+    dz.save_dataset(args.out, volumes, provenance={
+        "command": "gen-data", "version": __version__, "seed": args.seed,
+        "config": _flag_config(args, parser)})
+    print(f"wrote {args.count} volumes to {Path(args.out)}")
 
 
 # JSON value types a `--config` override may hold, by the flag's argparse type
@@ -184,7 +167,7 @@ def cmd_train(args, parser):
     with _flags("trajectory flags"):
         trajectory = init(k, args.shots, args.points_per_shot)
     trajectory.learnable = args.traj == "learned" and args.lr_traj > 0
-    volumes, pcfg = _load_data(args.data, k)
+    volumes, digest, pcfg = _load_data(args.data, k)
     samples = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
     rng = np.random.default_rng(args.seed)
     params = init_recon_params(rcfg, rng)
@@ -197,7 +180,7 @@ def cmd_train(args, parser):
     export_trajectory(result.trajectory, run_dir / "traj", kinematic_bounds(pcfg))
     _write_history(run_dir / "history.csv", result.history)
     _write_manifest(run_dir, "train", _flag_config(args, parser),
-                    {"dataset": _dataset_hash(args.data)})
+                    {"dataset": digest})
     print(f"trained run written to {run_dir} "
           f"(final val loss {result.history[-1]['val_loss']:.6g})")
 
@@ -205,13 +188,13 @@ def cmd_train(args, parser):
 def cmd_refine(args, parser):
     run_dir = Path(args.run)
     manifest, rcfg, params, trajectory, bounds = _open_run(run_dir, refined=False)
-    cfg = manifest["config"]
+    cfg, k = manifest["config"], trajectory.coords.shape[0]
     with _flags("refine flags"):
         tcfg = pl.TrainConfig(epochs_refine=args.epochs_refine,
                               lr_traj_refine=args.lr_traj_refine,
                               lr_net_refine=args.lr_net_refine,
                               batch=cfg["batch"], lambda_ref=args.lambda_ref,
-                              seed=cfg["seed"], frames_k=cfg["frames_k"],
+                              seed=cfg["seed"], frames_k=k,
                               mu_mode="signed" if args.signed_mu else "abs",
                               freeze_theta_refine=args.freeze_theta)
     if args.epochs_refine > 0 and args.freeze_theta and (
@@ -219,9 +202,8 @@ def cmd_refine(args, parser):
         raise UsageError("--freeze-theta with a frozen trajectory leaves nothing to "
                          "refine (--lr-traj-refine 0 or a run without a learned trajectory)")
 
-    k = tcfg.frames_k
-    volumes, pcfg = _load_data(args.data, 2 * k, bounds)
-    if _dataset_hash(args.data) != manifest["input_hashes"]["dataset"]:
+    volumes, digest, pcfg = _load_data(args.data, 2 * k, bounds)
+    if digest != manifest["input_hashes"]["dataset"]:
         raise UsageError("refinement needs the dataset the run was trained on")
 
     samples_k = [u for v in volumes for u in dz.partition_frames(v, k, pad=False)]
@@ -234,8 +216,7 @@ def cmd_refine(args, parser):
     save_checkpoint(run_dir / "checkpoint_refined", rcfg, result.params)
     export_trajectory(result.trajectory, run_dir / "traj_refined", bounds)
     _write_history(run_dir / "history.csv", result.history, keep_stage="main")
-    (run_dir / "mu_stats.json").write_text(json.dumps(
-        {"mu_x": mu_x, "mode": tcfg.mu_mode, "lambda_ref": args.lambda_ref}))
+    (run_dir / "mu_stats.json").write_text(json.dumps({"mu_x": mu_x}))
     manifest["refine"] = _flag_config(args, parser)
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"refined run in {run_dir} (mu_X = {mu_x:.6g})")
@@ -244,9 +225,9 @@ def cmd_refine(args, parser):
 def cmd_stack_eval(args, plain=False):
     if not plain and args.total_frames < 1:
         raise UsageError("--total-frames must be >= 1")
-    manifest, rcfg, params, traj, bounds = _open_run(args.run, not args.use_pre_refine)
-    k = manifest["config"]["frames_k"]
-    volumes, _ = _load_data(args.data, 0, bounds)  # any length: tiled to `total`
+    _, rcfg, params, traj, bounds = _open_run(args.run, not args.use_pre_refine)
+    k = traj.coords.shape[0]
+    volumes, digest, _ = _load_data(args.data, 0, bounds)  # any length: tiled to `total`
     _check_metric_frames(volumes)
     total = k if plain else args.total_frames
 
@@ -262,12 +243,12 @@ def cmd_stack_eval(args, plain=False):
         mus.append(res.mu)
 
     mu_mean = np.mean(mus, axis=0) if mus and len(mus[0]) else np.zeros(0)
+    psnrs = [r["psnr"] for r in reports if r["psnr"] != "identical"]
     summary = {
         "total_frames": total,
         "k": k,
-        "dataset": _dataset_hash(args.data),
-        "psnr": float(np.mean([r["psnr"] for r in reports
-                               if r["psnr"] != "identical"] or [np.inf])),
+        "dataset": digest,
+        "psnr": float(np.mean(psnrs)) if psnrs else "identical",
         "vif": float(np.mean([r["vif"] for r in reports])),
         "fsim": float(np.mean([r["fsim"] for r in reports])),
         "transition": qm.transition_report(mu_mean, k) if len(mu_mean) >= k else None,
@@ -281,7 +262,7 @@ def cmd_stack_eval(args, plain=False):
 
 def cmd_export(args):
     run_dir = Path(args.run)
-    manifest, rcfg, params, traj, bounds = _open_run(run_dir, refined=True)
+    _, rcfg, params, traj, bounds = _open_run(run_dir, refined=True)
     out = Path(args.out) if args.out else run_dir / f"export_{args.what}"
     if args.what == "trajectory":
         export_trajectory(traj, out, bounds)
@@ -292,8 +273,8 @@ def cmd_export(args):
         raise UsageError("attention export needs --data")
     if not 0 <= args.block < rcfg.n_blocks:
         raise UsageError(f"--block must lie in [0, {rcfg.n_blocks})")
-    k = manifest["config"]["frames_k"]
-    volumes, _ = _load_data(args.data, k, bounds)
+    k = traj.coords.shape[0]
+    volumes, _, _ = _load_data(args.data, k, bounds)
     z = volumes[0][:k]
     region = (args.region_t, args.region_y, args.region_x, args.region_extent)
     # the padded window grid depends only on the volume shape
@@ -306,8 +287,8 @@ def cmd_export(args):
 
 
 def cmd_metrics(args):
-    a = dz.load_dataset(args.a)
-    b = dz.load_dataset(args.b)
+    a, _ = dz.load_dataset(args.a)
+    b, _ = dz.load_dataset(args.b)
     if len(a) != len(b):
         raise UsageError("datasets differ in volume count")
     if a and a[0].shape != b[0].shape:

@@ -10,6 +10,7 @@ through `write_csv`, which prints each float with 17 significant digits.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,8 @@ def gen_phantom(spec: PhantomSpec) -> np.ndarray:
 
 def gen_dataset(count, grid=(32, 32), frames=8, seed=0, noise_sigma=0.0,
                 **kwargs) -> list[np.ndarray]:
+    if count < 1:
+        raise DataError("a dataset needs at least one volume")
     return [gen_phantom(PhantomSpec(grid=grid, frames=frames, seed=seed + i,
                                     noise_sigma=noise_sigma, **kwargs))
             for i in range(count)]
@@ -99,8 +102,9 @@ MANIFEST_NAME = "manifest.json"
 DATASET_VERSION = 1
 
 
-def save_dataset(path, volumes):
-    """manifest.json + one raw little-endian float64 blob per volume."""
+def save_dataset(path, volumes, provenance=None):
+    """manifest.json + one raw little-endian float64 blob per volume; the
+    manifest records `provenance` (the command that made the data) if given."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     volumes = [np.asarray(v, dtype=np.float64) for v in volumes]
@@ -112,30 +116,37 @@ def save_dataset(path, volumes):
             raise DataError("all volumes must share one shape")
     manifest = {"version": DATASET_VERSION, "count": len(volumes),
                 "T": t, "H": h, "W": w, "dtype": "f64le"}
+    if provenance is not None:
+        manifest["provenance"] = provenance
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     for i, v in enumerate(volumes):
         (path / f"vol_{i}.f64").write_bytes(v.astype("<f8").tobytes())
 
 
-def load_dataset(path) -> list[np.ndarray]:
+def load_dataset(path) -> tuple[list[np.ndarray], str]:
+    """The volumes and the dataset's digest: SHA-256 over the bytes read, the
+    manifest's, then each volume file's in order."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
         raise DataError(f"no dataset manifest at {manifest_file}")
-    manifest = json.loads(manifest_file.read_text())
+    manifest_bytes = manifest_file.read_bytes()
+    digest = hashlib.sha256(manifest_bytes)
+    manifest = json.loads(manifest_bytes)
     if manifest.get("dtype") != "f64le" or manifest.get("version") != DATASET_VERSION:
         raise DataError("unsupported dataset format")
     t, h, w = manifest["T"], manifest["H"], manifest["W"]
     volumes = []
     for i in range(manifest["count"]):
         blob = (path / f"vol_{i}.f64").read_bytes()
+        digest.update(blob)
         if len(blob) != 8 * t * h * w:
             raise DataError(f"vol_{i}.f64 has {len(blob)} bytes, expected {8 * t * h * w}")
         v = np.frombuffer(blob, dtype="<f8").reshape(t, h, w).copy()
         if not np.all(np.isfinite(v)):
             raise DataError(f"vol_{i}.f64 contains non-finite values")
         volumes.append(v)
-    return volumes
+    return volumes, digest.hexdigest()
 
 
 def write_csv(path, header, rows):

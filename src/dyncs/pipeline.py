@@ -54,13 +54,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs_main < 0 or self.epochs_refine < 0:
             raise AutodiffError("epoch counts must be non-negative")
-        if self.lr_net <= 0 or self.lr_traj < 0:
-            raise AutodiffError("learning rates must be positive (lr_traj may be 0)")
-        if self.lr_net_refine <= 0 or self.lr_traj_refine < 0:
-            raise AutodiffError(
-                "refine learning rates must be positive (lr_traj_refine may be 0)")
-        if self.lambda_ref < 0 or self.frames_k < 2 or self.batch < 1:
-            raise AutodiffError("lambda_ref >= 0, frames_k >= 2 and batch >= 1 required")
+        # each test is written so that NaN fails it
+        if not (0 < self.lr_net < np.inf and 0 <= self.lr_traj < np.inf):
+            raise AutodiffError("learning rates must be finite and positive "
+                                "(lr_traj may be 0)")
+        if not (0 < self.lr_net_refine < np.inf and 0 <= self.lr_traj_refine < np.inf):
+            raise AutodiffError("refine learning rates must be finite and positive "
+                                "(lr_traj_refine may be 0)")
+        if not 0 <= self.lambda_ref < np.inf or self.frames_k < 2 or self.batch < 1:
+            raise AutodiffError("a finite lambda_ref >= 0, frames_k >= 2 and batch >= 1 "
+                                "required")
         if self.mu_mode not in ("abs", "signed"):
             raise AutodiffError("mu_mode must be 'abs' or 'signed'")
 
@@ -173,6 +176,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
     accumulate in sample and window order. One backward of the acquisition
     under the leaves' gradients then gives the coordinate gradient.
     """
+    if trajectory.coords.shape[0] != tcfg.frames_k:
+        raise AutodiffError("the trajectory's frame count must equal frames_k")
     rng = np.random.default_rng(seed)
     bounds = kinematic_bounds(pcfg)
     coords = project_kinematic(trajectory.coords, bounds)

@@ -69,6 +69,8 @@ class PhysicsConfig:
             raise TrajectoryError("all physical constants must be positive")
         if min(self.grid) <= 0:
             raise TrajectoryError("grid dimensions must be positive")
+        if self.grid[0] != self.grid[1]:  # `kinematic_bounds` reads grid[0] alone
+            raise TrajectoryError(f"the grid must be square, got {self.grid}")
 
 
 @dataclass

@@ -77,6 +77,14 @@ def small_run(small_frames, tmp_path_factory):
     return out
 
 
+def _strict_json(text):
+    """`json.loads` that raises on NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _no_compute(monkeypatch):
     """Make refinement, evaluation and the acquisition fail if they run."""
     def compute(*args, **kwargs):
@@ -100,7 +108,7 @@ def _add_flag(monkeypatch, command):
 
 
 def test_gen_data_writes_volumes_and_manifest(dataset):
-    vols = load_dataset(dataset)
+    vols, _ = load_dataset(dataset)
     assert len(vols) == 3 and vols[0].shape == (8, GRID, GRID)
     manifest = json.loads((dataset / "manifest.json").read_text())
     assert manifest["count"] == 3
@@ -119,8 +127,10 @@ def test_gen_data_deterministic(tmp_path):
         assert (a / f"vol_{i}.f64").read_bytes() == (b / f"vol_{i}.f64").read_bytes()
 
 
-@pytest.mark.parametrize("flags", [["--grid", "0"], ["--noise", "-1"], ["--noise", "nan"]],
-                         ids=["zero-grid", "negative-noise", "nan-noise"])
+@pytest.mark.parametrize("flags", [["--grid", "0"], ["--noise", "-1"], ["--noise", "nan"],
+                                   ["--count", "0"], ["--frames", "0"]],
+                         ids=["zero-grid", "negative-noise", "nan-noise", "zero-count",
+                              "zero-frames"])
 def test_gen_data_invalid_grid_is_usage_error(tmp_path, capsys, flags):
     rc = main(["gen-data", "--out", str(tmp_path / "x")] + flags)
     assert rc == 2
@@ -160,6 +170,8 @@ def test_cli_chain_reruns_byte_identically(tmp_path, capsys):
         assert main(["export", "trajectory", "--run", str(run)]) == 0
         assert main(["export", "attention", "--run", str(run), "--data", str(data),
                      "--region-extent", "4"]) == 0
+        for path in root.rglob("*.json"):
+            _strict_json(path.read_text())
         trees.append({path.relative_to(root): path.read_bytes()
                       for path in root.rglob("*")
                       if path.is_file() and path.name != "manifest.json"})
@@ -229,15 +241,36 @@ def test_train_malformed_network_is_usage_error(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flags", [["--lr-net", "0"], ["--frames-k", "1"],
                                    ["--batch", "-1"], ["--epochs", "0"],
                                    ["--shots", "0"], ["--points-per-shot", "1"],
-                                   ["--points-per-shot", "1", "--traj", "gar"]],
+                                   ["--points-per-shot", "1", "--traj", "gar"],
+                                   ["--lr-traj", "nan"], ["--lr-net", "nan"],
+                                   ["--lr-net", "inf"]],
                          ids=["zero-net-learning-rate", "one-frame-window",
                               "negative-batch", "zero-epochs", "zero-shots",
-                              "one-point-per-shot", "one-point-per-shot-gar"])
+                              "one-point-per-shot", "one-point-per-shot-gar",
+                              "nan-trajectory-learning-rate", "nan-net-learning-rate",
+                              "inf-net-learning-rate"])
 def test_train_invalid_training_flag_is_usage_error(tmp_path, capsys, flags):
     # the dataset does not exist: a usage error shows the check came first
     rc = main(_train_args(tmp_path / "no-data", tmp_path / "out") + flags)
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_on_non_square_frames_is_usage_error(tmp_path, capsys, monkeypatch):
+    # `kinematic_bounds` scales with one side of the grid: 32 px along x
+    # would get the bounds of 24 px
+    data = tmp_path / "data"
+    dz.save_dataset(data, dz.gen_dataset(3, grid=(GRID, 32), frames=8, seed=1))
+
+    def train_main(*args, **kwargs):
+        raise AssertionError("trained before the grid was checked")
+
+    monkeypatch.setattr(pl, "train_main", train_main)
+    rc = main(_train_args(data, tmp_path / "out"))
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "square" in err["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -296,6 +329,8 @@ def test_refine_appends_history_and_writes_artifacts(dataset, run_dir, tmp_path)
     assert "refine" in after
     for name in ("checkpoint_refined.json", "traj_refined.csv", "mu_stats.json"):
         assert (run / name).exists()
+    # the refine flags are recorded in manifest.json alone
+    assert list(json.loads((run / "mu_stats.json").read_text())) == ["mu_x"]
 
 
 def test_refine_manifest_records_a_flag_added_to_the_parser(dataset, run_dir, tmp_path,
@@ -341,7 +376,7 @@ def test_dataset_hash_covers_the_volume_files(tmp_path):
     dz.save_dataset(a, [np.zeros((2, 4, 4))])
     dz.save_dataset(b, [np.ones((2, 4, 4))])
     assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-    assert cli._dataset_hash(a) != cli._dataset_hash(b)
+    assert load_dataset(a)[1] != load_dataset(b)[1]
 
 
 @pytest.mark.parametrize("command", [["eval"], ["stack-eval", "--total-frames", "8"],
@@ -504,7 +539,35 @@ def test_stack_eval_on_other_data_of_the_grid_records_its_hash(other_data, run_d
     capsys.readouterr()
     dataset_hash = json.loads((out / "metrics.json").read_text())["dataset"]
     trained_on = json.loads((run_dir / "manifest.json").read_text())["input_hashes"]
-    assert dataset_hash == cli._dataset_hash(other_data) != trained_on["dataset"]
+    assert dataset_hash == load_dataset(other_data)[1] != trained_on["dataset"]
+
+
+def test_stack_eval_of_exact_reconstructions_writes_valid_json(tmp_path, capsys):
+    # all-zero volumes: the run reconstructs each one exactly, so its PSNR is
+    # infinite, which JSON cannot hold
+    data, run, out = tmp_path / "data", tmp_path / "run", tmp_path / "eval"
+    dz.save_dataset(data, [np.zeros((8, GRID, GRID))] * 3)
+    assert main(_train_args(data, run)) == 0
+    assert main(["stack-eval", "--run", str(run), "--data", str(data),
+                 "--out", str(out), "--total-frames", "8"]) == 0
+    capsys.readouterr()
+    assert _strict_json((out / "metrics.json").read_text())["psnr"] == "identical"
+
+
+def test_eval_takes_k_from_the_trajectory(dataset, run_dir, tmp_path, capsys):
+    # the run's manifest records frames_k too; the trajectory's frame count
+    # is the one that counts
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["config"]["frames_k"] = 3
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    for source, out in ((run_dir, tmp_path / "a"), (run, tmp_path / "b")):
+        assert main(["eval", "--run", str(source), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("metrics.json", "reconstructions/vol_0.f64"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_stack_eval_marks_transitions(dataset, run_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for phantom generation and the dataset file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,8 @@ def test_invalid_spec_rejected():
         PhantomSpec(noise_sigma=-1.0)
     with pytest.raises(DataError):
         PhantomSpec(noise_sigma=float("nan"))
+    with pytest.raises(DataError):
+        gen_dataset(0)
 
 
 # -- dataset I/O ------------------------------------------------------------------
@@ -50,7 +54,7 @@ def test_invalid_spec_rejected():
 def test_save_load_round_trip_bit_exact(tmp_path):
     vols = gen_dataset(4, grid=(8, 8), frames=3, seed=5)
     save_dataset(tmp_path / "ds", vols)
-    back = load_dataset(tmp_path / "ds")
+    back, _ = load_dataset(tmp_path / "ds")
     assert len(back) == 4
     for a, b in zip(vols, back):
         assert np.array_equal(a, b)
@@ -73,7 +77,20 @@ def test_missing_manifest_detected(tmp_path):
 def test_arbitrary_count_supported(tmp_path):
     vols = gen_dataset(16, grid=(8, 8), frames=2, seed=9)
     save_dataset(tmp_path / "ds", vols)
-    assert len(load_dataset(tmp_path / "ds")) == 16
+    assert len(load_dataset(tmp_path / "ds")[0]) == 16
+
+
+def test_digest_is_sha256_of_the_manifest_then_each_volume_file(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(ds, gen_dataset(2, grid=(8, 8), frames=2, seed=1))
+    files = b"".join((ds / name).read_bytes()
+                     for name in ("manifest.json", "vol_0.f64", "vol_1.f64"))
+    _, digest = load_dataset(ds)
+    assert digest == hashlib.sha256(files).hexdigest()
+    blob = bytearray((ds / "vol_1.f64").read_bytes())
+    blob[3] ^= 1  # a low mantissa bit: the value stays finite
+    (ds / "vol_1.f64").write_bytes(bytes(blob))
+    assert load_dataset(ds)[1] != digest
 
 
 def test_empty_save_rejected(tmp_path):

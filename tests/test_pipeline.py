@@ -345,6 +345,25 @@ def test_refine_rejects_wrong_frame_count():
                         params, init_radial(4, 2, 8))
 
 
+def test_train_main_rejects_a_trajectory_of_other_frame_count():
+    # a 2-frame trajectory under frames_k 4 would train on 2-frame windows,
+    # and evaluate_stacked would then refuse the result
+    vols = [np.zeros((4, 12, 12))] * 2
+    tcfg = pl.TrainConfig(epochs_main=1, frames_k=4)
+    rcfg = _small_rcfg()
+    params = init_recon_params(rcfg, np.random.default_rng(0))
+    with pytest.raises(AutodiffError, match="frames_k"):
+        pl.train_main(vols, tcfg, _pcfg(12), rcfg, params, init_radial(2, 2, 8))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["lr_traj", "lr_net", "lr_traj_refine", "lr_net_refine",
+                                   "lambda_ref"])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(AutodiffError):
+        pl.TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("mu_x", [np.nan, np.inf])
 def test_refine_rejects_non_finite_mu_x(mu_x):
     vols = [np.zeros((8, 12, 12))] * 2

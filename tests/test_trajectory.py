@@ -56,6 +56,12 @@ def test_degenerate_physics_rejected():
         PhysicsConfig(gamma=0.0)
 
 
+def test_non_square_grid_rejected():
+    # `kinematic_bounds` reads grid[0] alone
+    with pytest.raises(TrajectoryError, match="square"):
+        PhysicsConfig(grid=(24, 32))
+
+
 # -- generators -----------------------------------------------------------------
 
 def test_radial_single_shot_is_horizontal_diameter():
