@@ -1,11 +1,11 @@
 """Reverse mode over dense float64 tensors, in graphs one node deep.
 
 A graph node is a `Tensor` built by ``Tensor.from_op`` over leaves, with a
-hand-written backward closure: the acquisition `nufft.acquire`, the network
-`recon.recon_forward`, and `conv3d`, whose numpy helpers the network's
-convolutions call. To chain two nodes, a caller cuts the graph at a leaf
-holding the first node's output and seeds the first node's `backward` with
-that leaf's gradient. The losses are not nodes: `pipeline.loss_main` and
+hand-written backward closure: the network `recon.recon_forward`, and
+`conv3d`, whose numpy helpers the network's convolutions call. The
+acquisition `nufft.acquire` is no node: it returns its output and a vjp, and
+`pipeline._fit` seeds that vjp with the gradients of the window leaves the
+network ran on. The losses are not nodes either: `pipeline.loss_main` and
 `pipeline.loss_refine` return their gradient in closed form, and `backward`
 starts from a node seeded with it. Everything is float64; NaN or Inf
 entering any node is an error.

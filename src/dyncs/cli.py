@@ -280,8 +280,8 @@ def cmd_export(args):
     # the padded window grid depends only on the volume shape
     with _flags("attention region"):
         region_windows(region, rcfg.window, window_grid(z.shape, rcfg.window))
-    regrid = pl.acquire(z, Tensor(traj.coords))
-    _, records = recon_forward(regrid, rcfg, params, record_attention=True)
+    regrid, _ = pl.acquire(z, traj.coords)
+    _, records = recon_forward(Tensor(regrid), rcfg, params, record_attention=True)
     geometry = export_attention(records[args.block], region, out)
     print(f"exported {geometry['n_maps']} attention maps to {out}.csv")
 

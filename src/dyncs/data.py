@@ -36,8 +36,9 @@ class PhantomSpec:
     def __post_init__(self):
         if min(self.grid) < 4 or self.frames < 1 or self.n_ellipses < 1:
             raise DataError("invalid phantom spec")
-        if self.amp_range[0] < 0 or self.freq_range[0] <= 0 or not self.noise_sigma >= 0:
-            raise DataError("ranges must be positive")
+        # NaN and +-inf fail the noise test
+        if self.amp_range[0] < 0 or self.freq_range[0] <= 0 or not 0 <= self.noise_sigma < np.inf:
+            raise DataError("ranges must be positive and the noise level finite")
 
 
 def _ellipse(h, w, cy, cx, ry, rx, angle, softness=1.0):
@@ -89,13 +90,11 @@ def gen_phantom(spec: PhantomSpec) -> np.ndarray:
     return np.clip(vol, 0.0, 1.0)
 
 
-def gen_dataset(count, grid=(32, 32), frames=8, seed=0, noise_sigma=0.0,
-                **kwargs) -> list[np.ndarray]:
+def gen_dataset(count, grid=(32, 32), frames=8, seed=0, noise_sigma=0.0) -> list[np.ndarray]:
     if count < 1:
         raise DataError("a dataset needs at least one volume")
     return [gen_phantom(PhantomSpec(grid=grid, frames=frames, seed=seed + i,
-                                    noise_sigma=noise_sigma, **kwargs))
-            for i in range(count)]
+                                    noise_sigma=noise_sigma)) for i in range(count)]
 
 
 MANIFEST_NAME = "manifest.json"

@@ -1,5 +1,5 @@
 """Exact type-2 nonuniform DFT between image frames and arbitrary k-space
-coords, and the emulated acquisition AᴴA as one autodiff graph node.
+coords, and the emulated acquisition AᴴA as a (regrid, vjp) pair.
 
 Each call works frame by frame: it builds frame t's per-axis phase tables
 [S*m, H] and [S*m, W] from that frame's coordinates, by the exact
@@ -8,8 +8,8 @@ the frame against them and lets them go before the next frame; no state is
 kept between calls. A table takes cos and sin only at x <= 0 and fills x > 0
 by conjugation. `acquire` also takes leading batch axes: images
 [..., T, H, W] share each frame's tables, built once per forward and once
-per backward, and are contracted against them one image at a time; its one
-parent, coords, gets one gradient: the adjoint transform's term plus the
+per vjp call, and are contracted against them one image at a time; its vjp
+gives the one coordinate gradient: the adjoint transform's term plus the
 forward's, each summed over those axes. Conventions:
 
   * coordinates are angular frequencies in radians, each component in [-pi, pi];
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import AutodiffError, Tensor
+from .autodiff import AutodiffError
 
 
 def _centered_axes(h, w):
@@ -136,38 +136,38 @@ def _frame_coord_grads(coords, t, frames, xt, gt):
     return adj, fwd
 
 
-def acquire(z, coords: Tensor) -> Tensor:
-    """Emulated acquisition AᴴA z / (H*W) of constant real images
-    z [..., T,H,W] on the coords Tensor [T,S,m,2]: the regridded volumes as
-    (real, imag) channels [..., 2,T,H,W]. Every image along the leading axes
-    is acquired with the same coords, frame by frame: each frame's phase
-    tables are built once per pass and serve every image, which is
-    contracted against them on its own, so a pass holds one frame's tables
-    at a time.
+def acquire(z, coords):
+    """Emulated acquisition AᴴA z / (H*W) of real images z [..., T,H,W] on the
+    coordinate array [T,S,m,2]: (regrid, vjp). regrid holds the regridded
+    volumes as (real, imag) channels [..., 2,T,H,W]; each pass builds each
+    frame's phase tables once, serving every image along the leading axes.
 
-    With X = A z and complex upstream G, U = A G / (H*W), the coordinate
-    gradient is Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk), each
-    term summed over the leading axes.
+    vjp(g), for a finite g of regrid's shape, is the coordinate gradient
+    [T,S,m,2]: with X = A z, complex upstream G and U = A G / (H*W), it is
+    Im(conj(X) d(A G)/dk) / (H*W) + Im(conj(U) d(A z)/dk), each term summed
+    over the leading axes. It keeps no state, so each call is a fresh pass.
     """
     z = np.asarray(z, dtype=np.float64)
     *_, t_frames, h, w = z.shape
     images = z.reshape((-1,) + z.shape[-3:])
-    cd = _validate_coords(coords.data, t_frames)
-    x = np.empty(images.shape[:2] + (cd[0].size // 2,), dtype=np.complex128)
+    coords = _validate_coords(coords, t_frames)
+    x = np.empty(images.shape[:2] + (coords[0].size // 2,), dtype=np.complex128)
     zt = np.empty(images.shape, dtype=np.complex128)
     for t in range(t_frames):
-        _acquire_frame(cd, t, images[:, t], x[:, t], zt[:, t])
+        _acquire_frame(coords, t, images[:, t], x[:, t], zt[:, t])
     zt /= h * w
-    zt = zt.reshape(z.shape)
+    regrid = np.stack([zt.real, zt.imag], axis=1).reshape(z.shape[:-3] + (2,) + z.shape[-3:])
 
-    def back(g):
-        g = g.reshape((-1, 2) + images.shape[1:])
-        terms = [_frame_coord_grads(cd, t, images[:, t], x[:, t], g[:, 0, t] + 1j * g[:, 1, t])
+    def vjp(g):
+        if np.shape(g) != regrid.shape or not np.all(np.isfinite(g)):
+            raise AutodiffError(f"a vjp seed must be finite and of shape {regrid.shape}")
+        g = np.reshape(g, (-1, 2) + images.shape[1:])
+        terms = [_frame_coord_grads(coords, t, images[:, t], x[:, t], g[:, 0, t] + 1j * g[:, 1, t])
                  for t in range(t_frames)]
-        adj, fwd = (np.stack(part).reshape(cd.shape) for part in zip(*terms))
-        return (adj / (h * w) + fwd,)
+        adj, fwd = (np.stack(part).reshape(coords.shape) for part in zip(*terms))
+        return adj / (h * w) + fwd
 
-    return Tensor.from_op(np.stack([zt.real, zt.imag], axis=-4), (coords,), back)
+    return regrid, vjp
 
 
 def cartesian_grid_coords(t_frames, h, w):

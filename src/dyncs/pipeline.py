@@ -11,7 +11,9 @@ call, one leaf per window, and `_reconstruct` runs the network forward only
 for validation and stacked evaluation. An optimizer step acquires its whole
 mini-batch at once but differentiates the network one sample at a time. The
 losses take numpy arrays and return their value and gradient in closed
-form; the gradient's k-frame slices seed each window node's backward.
+form; the gradient's k-frame slices seed each window node's backward. The
+network is the only graph node: `acquire`'s vjp maps the window leaves'
+gradients to the coordinates'.
 """
 
 from __future__ import annotations
@@ -129,17 +131,17 @@ def loss_refine(z_hat, z, mu_x, lambda_ref, mode="abs"):
     return float(base + (excess * active).sum() * float(lambda_ref)), grad
 
 
-def _acquire_windows(seqs, coords_t):
+def _acquire_windows(seqs, coords, learn=False):
     """Acquire every k-frame window of the sequences `seqs` with the k-frame
-    trajectory `coords_t` (k = coords_t.shape[0]), the last window of each
+    coordinate array `coords` (k = coords.shape[0]), the last window of each
     zero-padded to k frames, in one `acquire` call, so the trajectory's phase
-    tables are built once per pass. Returns the acquisition node
-    [n_windows, 2,k,H,W] and each sequence's list of window leaves, which
-    require grad exactly when the node does."""
-    windows = [partition_frames(z, coords_t.shape[0]) for z in seqs]
-    regrid = acquire(np.stack([u for w in windows for u in w]), coords_t)
-    leaves = iter(Tensor(u, requires_grad=regrid.requires_grad) for u in regrid.data)
-    return regrid, [[next(leaves) for _ in w] for w in windows]
+    tables are built once per pass. Returns `acquire`'s vjp, which takes the
+    stacked window gradients [n_windows, 2,k,H,W], and each sequence's list
+    of window leaves, which require grad exactly when `learn` is set."""
+    windows = [partition_frames(z, coords.shape[0]) for z in seqs]
+    regrid, vjp = acquire(np.stack([u for w in windows for u in w]), coords)
+    leaves = iter(Tensor(u, requires_grad=learn) for u in regrid)
+    return vjp, [[next(leaves) for _ in w] for w in windows]
 
 
 def _reconstruct(seqs, coords, params, rcfg):
@@ -147,7 +149,7 @@ def _reconstruct(seqs, coords, params, rcfg):
     with the k-frame coordinate array `coords`: one array [n_windows*k, H,W]
     per sequence. Only each window's output is kept, so its network node is
     freed at once."""
-    _, leaves = _acquire_windows(seqs, Tensor(coords))
+    _, leaves = _acquire_windows(seqs, coords)
     return [np.concatenate([recon_forward(w, rcfg, params)[0].data for w in windows])
             for windows in leaves]
 
@@ -173,8 +175,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
     reconstructs every window from its own leaf, and each window node's
     backward is seeded with its frames of the loss gradient, so only one
     sample's network graph is alive at a time and the parameter gradients
-    accumulate in sample and window order. One backward of the acquisition
-    under the leaves' gradients then gives the coordinate gradient.
+    accumulate in sample and window order. The acquisition's vjp of the
+    stacked leaf gradients then gives the coordinate gradient.
     """
     if trajectory.coords.shape[0] != tcfg.frames_k:
         raise AutodiffError("the trajectory's frame count must equal frames_k")
@@ -205,8 +207,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
         max_violation = -np.inf
         for start in range(0, len(order), tcfg.batch):
             batch = order[start:start + tcfg.batch]
-            coords_t = Tensor(coords, requires_grad=traj_state is not None)
-            regrid, leaves = _acquire_windows([volumes[i] for i in batch], coords_t)
+            vjp, leaves = _acquire_windows([volumes[i] for i in batch], coords,
+                                           learn=traj_state is not None)
             for i, windows in zip(batch, leaves):
                 nodes = [recon_forward(w, rcfg, net)[0] for w in windows]
                 loss, grad = loss_fn(np.concatenate([node.data for node in nodes]),
@@ -217,8 +219,6 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
                 epoch_losses.append(loss)
                 for node, g in zip(nodes, np.split(grad, len(nodes))):
                     node.backward(g)
-            if regrid.requires_grad:
-                regrid.backward(np.stack([w.grad for ws in leaves for w in ws]))
             scale = 1.0 / len(batch)
             if net_states is not None:
                 for name in sorted(params):
@@ -227,7 +227,8 @@ def _fit(volumes, loss_fn, tcfg, pcfg, rcfg, params, trajectory, stage, epochs,
                                                          net_states[name])
                     p.grad = None
             if traj_state is not None:
-                coords, traj_state = adam_step(coords, coords_t.grad * scale, traj_state)
+                g_coords = vjp(np.stack([w.grad for ws in leaves for w in ws])) * scale
+                coords, traj_state = adam_step(coords, g_coords, traj_state)
                 coords = project_kinematic(coords, bounds)
             vel, acc = feasibility_report(coords, bounds)
             max_violation = max(max_violation, vel, acc)

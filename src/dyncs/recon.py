@@ -433,14 +433,14 @@ def load_checkpoint(path):
 def region_windows(region, window, grid):
     """(temporal window index, window rows, window columns) covered by an
     attention export region = (t, y, x, extent) on a window grid of `grid`
-    windows of extents `window`; raises AutodiffError if the region leaves
-    the grid or does not align with it."""
+    windows of extents `window`; raises AutodiffError if the region is
+    empty, leaves the grid or does not align with it."""
     t, y, x, extent = region
     wt, wh, ww = window
     nt, nh, nw = grid
-    if (t < 0 or t >= nt * wt or y < 0 or x < 0
+    if (extent < 1 or t < 0 or t >= nt * wt or y < 0 or x < 0
             or y + extent > nh * wh or x + extent > nw * ww):
-        raise AutodiffError("attention export region out of bounds")
+        raise AutodiffError("attention export region empty or out of bounds")
     if y % wh or x % ww or extent % wh or extent % ww:
         raise AutodiffError("region must align with the spatial window grid")
     return t // wt, range(y // wh, (y + extent) // wh), range(x // ww, (x + extent) // ww)

@@ -164,26 +164,21 @@ def test_02_end_to_end_differentiability(capsys):
         size=params["conv_out.w"].shape)
     coords0 = init_radial(2, 2, 6, span=0.7 * np.pi).coords
 
-    def loss_and_grad(coords, probe):
-        """The MSE and its gradient in the Tensor `probe`, with the graph cut
-        at a leaf between the acquisition and the network, as `_fit` cuts it."""
-        regrid = pl.acquire(z, coords)
-        leaf = Tensor(regrid.data, requires_grad=regrid.requires_grad)
+    def loss_and_grad(coords, probe=None):
+        """The MSE and its gradient in the coordinates, or in the parameter
+        Tensor `probe` if one is given: the network runs on a leaf holding
+        the acquisition's output, and the acquisition's vjp maps that leaf's
+        gradient to the coordinates', as `_fit` composes them."""
+        regrid, vjp = pl.acquire(z, coords)
+        leaf = Tensor(regrid, requires_grad=probe is None)
         z_hat, _ = recon_forward(leaf, rcfg, params)
         loss, grad = pl.loss_main(z_hat.data, z)
         z_hat.backward(grad)
-        if regrid.requires_grad:
-            regrid.backward(leaf.grad)
-        return loss, probe.grad
+        return loss, vjp(leaf.grad) if probe is None else probe.grad
 
-    def loss_of_coords(c):
-        probe = Tensor(c, requires_grad=True)
-        return loss_and_grad(probe, probe)
+    nonvanishing = float(np.abs(loss_and_grad(coords0.copy())[1]).max()) > 0.0
+    coord_err = grad_check(loss_and_grad, coords0, h=1e-5)
 
-    nonvanishing = float(np.abs(loss_of_coords(coords0.copy())[1]).max()) > 0.0
-    coord_err = grad_check(loss_of_coords, coords0, h=1e-5)
-
-    frozen = Tensor(coords0)
     param_errs = []
     for name in ("conv_out.b", "block0.ln1.g", "block0.mlp.b1"):
         original = params[name]
@@ -191,7 +186,7 @@ def test_02_end_to_end_differentiability(capsys):
         def loss_of_param(p, name=name, original=original):
             params[name] = probe = Tensor(p, requires_grad=True)
             try:
-                return loss_and_grad(frozen, probe)
+                return loss_and_grad(coords0, probe)
             finally:
                 params[name] = original
 
@@ -276,15 +271,15 @@ def test_07_temporal_extendability(capsys, refine_runs):
 
     z4 = gen_phantom(PhantomSpec(grid=(GRID, GRID), frames=K, seed=51))
     res4 = pl.evaluate_stacked(trajectory, params, rcfg, z4, K)
-    regrid = pl.acquire(z4, Tensor(trajectory.coords))
-    plain, _ = recon_forward(regrid, rcfg, params)
+    regrid, _ = pl.acquire(z4, trajectory.coords)
+    plain, _ = recon_forward(Tensor(regrid), rcfg, params)
     bit_equal = np.array_equal(res4.reconstruction, plain.data)
 
     z27 = gen_phantom(PhantomSpec(grid=(GRID, GRID), frames=27, seed=52))
     res27 = pl.evaluate_stacked(trajectory, params, rcfg, z27, K)
     padded = np.concatenate([z27[24:], np.zeros((1, GRID, GRID))], axis=0)
-    tail, _ = recon_forward(pl.acquire(padded, Tensor(trajectory.coords)),
-                            rcfg, params)
+    regrid, _ = pl.acquire(padded, trajectory.coords)
+    tail, _ = recon_forward(Tensor(regrid), rcfg, params)
     tail_ok = np.array_equal(res27.reconstruction[24:], tail.data[:3])
 
     ok = shapes_ok and bit_equal and tail_ok

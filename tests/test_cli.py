@@ -128,9 +128,9 @@ def test_gen_data_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--grid", "0"], ["--noise", "-1"], ["--noise", "nan"],
-                                   ["--count", "0"], ["--frames", "0"]],
-                         ids=["zero-grid", "negative-noise", "nan-noise", "zero-count",
-                              "zero-frames"])
+                                   ["--noise", "inf"], ["--count", "0"], ["--frames", "0"]],
+                         ids=["zero-grid", "negative-noise", "nan-noise", "inf-noise",
+                              "zero-count", "zero-frames"])
 def test_gen_data_invalid_grid_is_usage_error(tmp_path, capsys, flags):
     rc = main(["gen-data", "--out", str(tmp_path / "x")] + flags)
     assert rc == 2
@@ -605,15 +605,18 @@ def test_export_attention_rows_sum_to_one(dataset, run_dir, tmp_path, capsys):
         assert sum(float(v) for v in row[5:]) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("flags", [["--region-x", str(GRID * 4)], ["--region-extent", "0"],
+                                   ["--region-extent", "-16"]],
+                         ids=["x-outside", "zero-extent", "negative-extent"])
+def test_export_attention_bad_region_fails(dataset, run_dir, tmp_path, capsys, monkeypatch,
+                                           flags):
     # the region is checked against the window grid before any acquisition
     def acquire(*args, **kwargs):
         raise AssertionError("acquired before the region was checked")
 
     monkeypatch.setattr(pl, "acquire", acquire)
     rc = main(["export", "attention", "--run", str(run_dir),
-               "--data", str(dataset), "--out", str(tmp_path / "bad"),
-               "--region-x", str(GRID * 4)])
+               "--data", str(dataset), "--out", str(tmp_path / "bad")] + flags)
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "usage"
     assert not (tmp_path / "bad.csv").exists()

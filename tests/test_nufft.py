@@ -1,4 +1,5 @@
-"""Tests for the exact nonuniform DFT, its adjoint and the acquisition node."""
+"""Tests for the exact nonuniform DFT, its adjoint and the acquisition's
+(regrid, vjp) pair."""
 
 import tracemalloc
 
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncs import nufft
-from dyncs.autodiff import AutodiffError, Tensor
+from dyncs.autodiff import AutodiffError
 from dyncs.nufft import (acquire, cartesian_grid_coords, nudft_adjoint,
                          nudft_forward)
 
-from gradcheck import grad_check, seeded
+from gradcheck import grad_check
 
 
 def _forward_oracle(z, coords):
@@ -137,7 +138,7 @@ def test_acquire_is_linear_self_adjoint_and_positive(data, t_frames, shots, m, h
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     u, z = rng.normal(size=(2, t_frames, h, w))
     a, b = rng.normal(size=2)
-    out = acquire(np.stack([u, z, a * u + b * z]), Tensor(coords)).data
+    out, _ = acquire(np.stack([u, z, a * u + b * z]), coords)
     au, az, amix = out[:, 0] + 1j * out[:, 1]
     # each AᴴA entry sums shots*m samples of at most sum|z| each, over H*W
     bound = shots * m * np.abs(u).sum() * np.abs(z).sum()
@@ -220,7 +221,7 @@ def test_out_of_range_coordinate_rejected():
         nudft_forward(np.ones((1, 4, 4)), coords)
 
 
-# -- acquisition node -----------------------------------------------------------
+# -- acquisition pair -----------------------------------------------------------
 
 def test_acquire_coord_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
@@ -229,7 +230,12 @@ def test_acquire_coord_gradients_match_finite_differences():
         z = rng.normal(size=batch + (t_frames, h, w))
         coords0 = _random_coords(rng, (t_frames, 2, 3)) * 0.9
         seed = rng.normal(size=batch + (2, t_frames, h, w))
-        assert grad_check(seeded(lambda c: acquire(z, c), seed), coords0) < 1e-5
+
+        def f(c):
+            regrid, vjp = acquire(z, c)
+            return float((regrid * seed).sum()), vjp(seed)
+
+        assert grad_check(f, coords0) < 1e-5
 
 
 @settings(max_examples=40)
@@ -245,34 +251,32 @@ def test_acquire_coord_gradient_matches_central_differences(data, t_frames, n_im
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     z = rng.normal(size=(n_images, t_frames, h, w))
     seed = rng.normal(size=(n_images, 2, t_frames, h, w))
-    probe = Tensor(coords0, requires_grad=True)
-    acquire(z, probe).backward(seed)
+    analytic = acquire(z, coords0)[1](seed).ravel()
     step = 1e-5
     numeric = np.empty(coords0.size)
     for i, delta in enumerate(step * np.eye(coords0.size)):
         delta = delta.reshape(coords0.shape)
-        up, down = (acquire(z, Tensor(coords0 + s * delta)).data for s in (1, -1))
+        up, down = (acquire(z, coords0 + s * delta)[0] for s in (1, -1))
         numeric[i] = ((up - down) * seed).sum() / (2 * step)
-    analytic = probe.grad.ravel()
     assert np.abs(analytic - numeric).max() <= 1e-7 * np.abs(analytic).max() + 1e-9
 
 
 def test_acquire_memory_peaks_at_the_train_traj_64_shape():
-    """One acquire forward, and its backward, at the train-traj-64 shape (4
+    """One acquire forward, and its vjp, at the train-traj-64 shape (4
     images, T=4, grid 64, 8x128 points) hold one frame's phase tables at a
     time: ~4.6 and ~6.8 MB above what each pass starts from, against ~13.9
     and ~26.7 MB when a pass builds every frame's tables at once."""
     rng = np.random.default_rng(16)
     z = rng.normal(size=(4, 4, 64, 64))
-    coords = Tensor(_random_coords(rng, (4, 8, 128)), requires_grad=True)
+    coords = _random_coords(rng, (4, 8, 128))
     seed = rng.normal(size=(4, 2, 4, 64, 64))
     tracemalloc.start()
     try:
-        node = acquire(z, coords)
+        _, vjp = acquire(z, coords)
         forward = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        node.backward(seed)
+        vjp(seed)
         backward = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -283,7 +287,7 @@ def test_acquire_memory_peaks_at_the_train_traj_64_shape():
 def _acquire_terms(z, coords0, seed):
     """acquire's coordinate gradient under upstream `seed`, split into its two
     terms with nufft's helpers: (adjoint-transform term, forward-transform
-    term), each [T,S,m,2]. Their sum is acquire's backward, bit for bit."""
+    term), each [T,S,m,2]. Their sum is acquire's vjp, bit for bit."""
     h, w = z.shape[1:]
     xs, ys = nufft._centered_axes(h, w)
     adj, fwd = [], []
@@ -295,7 +299,7 @@ def _acquire_terms(z, coords0, seed):
         fwd.append(nufft._coord_term(egu.sum(-1) / (h * w), zt, nufft._product(ex, ey, zt),
                                      ex * xs, ey, ys))
     adj, fwd = np.reshape(adj, coords0.shape) / (h * w), np.reshape(fwd, coords0.shape)
-    (total,) = acquire(z, Tensor(coords0, requires_grad=True))._backward(seed)
+    total = acquire(z, coords0)[1](seed)
     assert np.array_equal(total, adj + fwd)
     return adj, fwd
 
@@ -343,29 +347,45 @@ def test_acquire_batch_equals_single_calls():
     z = rng.normal(size=(3, 2, 5, 4))
     coords = _random_coords(rng, (2, 2, 3))
     seed = rng.normal(size=(3, 2, 2, 5, 4))
-    learnable = Tensor(coords, requires_grad=True)
-    batched = acquire(z, learnable)
-    singles = [acquire(zb, Tensor(coords)).data for zb in z]
-    assert np.array_equal(batched.data, np.stack(singles))
-    batched.backward(seed)
-    summed = np.zeros_like(coords)
-    for zb, gb in zip(z, seed):
-        single = Tensor(coords, requires_grad=True)
-        acquire(zb, single).backward(gb)
-        summed += single.grad
-    assert np.max(np.abs(learnable.grad - summed)) <= 1e-12 * np.max(np.abs(summed))
+    batched, vjp = acquire(z, coords)
+    singles = [acquire(zb, coords) for zb in z]
+    assert np.array_equal(batched, np.stack([regrid for regrid, _ in singles]))
+    summed = sum(single_vjp(gb) for (_, single_vjp), gb in zip(singles, seed))
+    assert np.max(np.abs(vjp(seed) - summed)) <= 1e-12 * np.max(np.abs(summed))
 
 
 def test_zero_upstream_gives_zero_gradient():
     rng = np.random.default_rng(10)
     z = rng.normal(size=(1, 4, 4))
-    coords = Tensor(_random_coords(rng, (1, 2, 3)), requires_grad=True)
-    acquire(z, coords).backward(np.zeros((2, 1, 4, 4)))
-    np.testing.assert_allclose(coords.grad, 0.0)
+    _, vjp = acquire(z, _random_coords(rng, (1, 2, 3)))
+    np.testing.assert_allclose(vjp(np.zeros((2, 1, 4, 4))), 0.0)
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf"])
+def test_acquire_vjp_rejects_a_bad_seed(bad):
+    rng = np.random.default_rng(17)
+    regrid, vjp = acquire(rng.normal(size=(2, 3, 4, 4)), _random_coords(rng, (3, 2, 3)))
+    seed = rng.normal(size=regrid.shape)
+    if bad == "shape":
+        seed = seed[:1]  # one image's seed for a batch of two
+    else:
+        seed[1, 0, 2, 3, 1] = float(bad)
+    with pytest.raises(AutodiffError, match="seed"):
+        vjp(seed)
+
+
+def test_acquire_vjp_keeps_no_state():
+    # the vjp holds no consumed flag: a second call under the same seed
+    # rebuilds the tables and gives the same array
+    rng = np.random.default_rng(18)
+    regrid, vjp = acquire(rng.normal(size=(2, 3, 5, 4)), _random_coords(rng, (3, 2, 3)))
+    seed = rng.normal(size=regrid.shape)
+    first = vjp(seed)
+    assert np.array_equal(vjp(seed), first)
 
 
 def test_acquire_rejects_frame_count_mismatch():
-    coords = Tensor(_random_coords(np.random.default_rng(12), (3, 1, 4)))
+    coords = _random_coords(np.random.default_rng(12), (3, 1, 4))
     with pytest.raises(AutodiffError, match="frame count"):
         acquire(np.ones((2, 4, 4)), coords)
 
@@ -381,9 +401,7 @@ def test_acquire_builds_phase_tables_once_per_pass(monkeypatch):
     # in frame order, whatever the number of images
     for z in (rng.normal(size=(3, 5, 4)), rng.normal(size=(2, 3, 5, 4))):
         frames.clear()
-        acquire(z, Tensor(coords))
+        regrid, vjp = acquire(z, coords)
         assert frames == [0, 1, 2]
-        frames.clear()
-        learnable = Tensor(coords, requires_grad=True)
-        acquire(z, learnable).backward()
-        assert frames == [0, 1, 2] * 2  # the forward's frames, then the backward's
+        vjp(np.ones_like(regrid))
+        assert frames == [0, 1, 2] * 2  # the forward's frames, then the vjp's

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dyncs import nufft
+from dyncs import nufft, recon
 from dyncs import pipeline as pl
 from dyncs.autodiff import AutodiffError, Tensor
 from dyncs.data import PhantomSpec, gen_phantom
@@ -32,27 +32,25 @@ def _pcfg(grid):
 def test_acquire_full_grid_is_identity():
     rng = np.random.default_rng(0)
     z = rng.random((2, 8, 8))
-    coords = Tensor(cartesian_grid_coords(2, 8, 8))
-    out = pl.acquire(z, coords)
-    np.testing.assert_allclose(out.data[0], z, atol=1e-9)
-    np.testing.assert_allclose(out.data[1], 0.0, atol=1e-9)
+    out, _ = pl.acquire(z, cartesian_grid_coords(2, 8, 8))
+    np.testing.assert_allclose(out[0], z, atol=1e-9)
+    np.testing.assert_allclose(out[1], 0.0, atol=1e-9)
 
 
 def test_acquire_zero_image_gives_zero():
-    coords = Tensor(init_radial(1, 2, 8).coords)
-    out = pl.acquire(np.zeros((1, 8, 8)), coords)
-    np.testing.assert_allclose(out.data, 0.0)
+    out, _ = pl.acquire(np.zeros((1, 8, 8)), init_radial(1, 2, 8).coords)
+    np.testing.assert_allclose(out, 0.0)
 
 
 def test_acquire_matches_composed_operator_oracle():
     rng = np.random.default_rng(1)
     z = rng.random((2, 8, 8))
     k = init_radial(2, 4, 16)
-    out = pl.acquire(z, Tensor(k.coords))
+    out, _ = pl.acquire(z, k.coords)
     samples = nudft_forward(z, k.coords)
     expected = nudft_adjoint(samples, k.coords, z.shape)
-    np.testing.assert_allclose(out.data[0], expected.real, atol=1e-12)
-    np.testing.assert_allclose(out.data[1], expected.imag, atol=1e-12)
+    np.testing.assert_allclose(out[0], expected.real, atol=1e-12)
+    np.testing.assert_allclose(out[1], expected.imag, atol=1e-12)
 
 
 # -- losses ----------------------------------------------------------------------
@@ -264,6 +262,26 @@ def test_training_keeps_trajectory_feasible():
 
 
 @pytest.mark.parametrize("learnable", [True, False], ids=["learned", "frozen"])
+def test_only_a_learned_trajectory_takes_the_network_input_gradient(monkeypatch,
+                                                                     learnable):
+    # a frozen trajectory's window leaves are constant, so the network's
+    # backward skips conv_in's input gradient and no vjp is called
+    flags, vjps = [], []
+    net_backward, acquire = recon._net_backward, pl.acquire
+
+    def counted_acquire(z, coords):
+        regrid, vjp = acquire(z, coords)
+        return regrid, lambda g: vjps.append(1) or vjp(g)
+
+    monkeypatch.setattr(recon, "_net_backward",
+                        lambda *a: flags.append(a[5]) or net_backward(*a))
+    monkeypatch.setattr(pl, "acquire", counted_acquire)
+    _tiny_train(epochs=2, learnable=learnable)
+    assert flags and set(flags) == {learnable}
+    assert len(vjps) == (2 if learnable else 0)  # one step per epoch
+
+
+@pytest.mark.parametrize("learnable", [True, False], ids=["learned", "frozen"])
 def test_training_builds_phase_tables_once_per_acquisition(monkeypatch, learnable):
     frames = []
     build = nufft._phase_tables
@@ -300,13 +318,11 @@ def test_learned_step_gradient_sums_the_samples_acquisitions(monkeypatch):
     assert len(train_idx) == tcfg.batch  # one optimizer step
     expected = np.zeros_like(coords0)
     for i in train_idx:
-        coords = Tensor(coords0, requires_grad=True)
-        regrid = pl.acquire(volumes[i], coords)
-        leaf = Tensor(regrid.data, requires_grad=True)  # the cut `_fit` makes
+        regrid, vjp = pl.acquire(volumes[i], coords0)
+        leaf = Tensor(regrid, requires_grad=True)  # the leaf `_fit` gives the network
         z_hat, _ = recon_forward(leaf, rcfg, params)
         z_hat.backward(pl.loss_main(z_hat.data, volumes[i])[1])
-        regrid.backward(leaf.grad)
-        expected += coords.grad
+        expected += vjp(leaf.grad)
     expected /= len(train_idx)
     for p in params.values():
         p.grad = None
@@ -469,8 +485,8 @@ def test_stacked_eval_equals_plain_inference_at_t_equals_k(trained_small):
     result, rcfg = trained_small
     z = gen_phantom(PhantomSpec(grid=(24, 24), frames=4, seed=9))
     res = pl.evaluate_stacked(result.trajectory, result.params, rcfg, z, k=4)
-    regrid = pl.acquire(z, Tensor(result.trajectory.coords))
-    plain, _ = recon_forward(regrid, rcfg, result.params)
+    regrid, _ = pl.acquire(z, result.trajectory.coords)
+    plain, _ = recon_forward(Tensor(regrid), rcfg, result.params)
     assert np.array_equal(res.reconstruction, plain.data)
 
 
@@ -488,8 +504,8 @@ def test_stacked_eval_padded_tail_arithmetic(trained_small, monkeypatch):
     assert len(res.mu) == 10
     # the cropped tail must equal reconstructing the zero-padded window
     padded = np.concatenate([z[8:], np.zeros((1, 24, 24))], axis=0)
-    regrid = pl.acquire(padded, Tensor(result.trajectory.coords))
-    tail, _ = recon_forward(regrid, rcfg, result.params)
+    regrid, _ = pl.acquire(padded, result.trajectory.coords)
+    tail, _ = recon_forward(Tensor(regrid), rcfg, result.params)
     assert np.array_equal(res.reconstruction[8:], tail.data[:3])
 
 
@@ -541,16 +557,14 @@ def test_end_to_end_coordinate_gradients_match_finite_differences():
     coords0 = init_radial(2, 2, 6, span=0.7 * np.pi).coords
 
     def f(c):
-        # the graph cut at a leaf between the acquisition and the network,
-        # as `_fit` cuts it
-        probe = Tensor(c, requires_grad=True)
-        regrid = pl.acquire(z, probe)
-        leaf = Tensor(regrid.data, requires_grad=True)
+        # the network on a leaf holding the acquisition's output, and the
+        # acquisition's vjp of that leaf's gradient, as `_fit` composes them
+        regrid, vjp = pl.acquire(z, c)
+        leaf = Tensor(regrid, requires_grad=True)
         z_hat, _ = recon_forward(leaf, rcfg, params)
         loss, grad = pl.loss_main(z_hat.data, z)
         z_hat.backward(grad)
-        regrid.backward(leaf.grad)
-        return loss, probe.grad
+        return loss, vjp(leaf.grad)
 
     assert np.abs(f(coords0)[1]).max() > 0.0
     assert grad_check(f, coords0, h=1e-5) < 1e-4

@@ -119,17 +119,32 @@ def test_token_permutation_within_window_permutes_output():
     np.testing.assert_allclose(out_p, out[:, perm], atol=1e-12)
 
 
-def test_no_cross_window_leakage():
-    rng = np.random.default_rng(7)
-    c, n = 4, 4
-    params = _attn_params(rng, c)
-    tokens = rng.normal(size=(3, n, c))
-    out, _ = _attention(tokens, *params, heads=2)
-    zeroed = tokens.copy()
-    zeroed[1] = 0.0
-    out_z, _ = _attention(zeroed, *params, heads=2)
-    assert np.array_equal(out[0], out_z[0])
-    assert np.array_equal(out[2], out_z[2])
+@settings(max_examples=60)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.booleans())
+def test_no_cross_window_leakage(data, heads, d, hidden, padded):
+    """Window isolation through a whole transformer block (LN, window
+    attention, MLP): new tokens in one window leave every other window's
+    output bit-equal, with and without `_window_geometry`'s pad-key mask."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    window = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+    grid = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+    # a padded volume falls short of the window grid by less than a window
+    shape = tuple(g * e - (data.draw(st.integers(0, e - 1)) if padded else 0)
+                  for g, e in zip(grid, window))
+    c = heads * d
+    _, _, mask = recon._window_geometry((c,) + shape, window)
+    shapes = {"attn.wqkv": (c, 3 * c), "attn.bqkv": (3 * c,), "attn.wo": (c, c),
+              "mlp.w1": (c, hidden), "mlp.b1": (hidden,), "mlp.w2": (hidden, c)}
+    P = [rng.normal(size=shapes.get(name, (c,))) for name in BLOCK_PARAMS]
+    tokens = rng.normal(size=(int(np.prod(grid)), int(np.prod(window)), c))
+    j = data.draw(st.integers(0, len(tokens) - 1))
+    changed = tokens.copy()
+    changed[j] = rng.normal(size=tokens.shape[1:])
+    out, _ = _block_forward(tokens, P, heads, mask)
+    out_changed, _ = _block_forward(changed, P, heads, mask)
+    others = np.arange(len(tokens)) != j
+    assert np.array_equal(out_changed[others], out[others])
+    assert not np.array_equal(out_changed[j], out[j])
 
 
 def _dense_attention(x, wqkv, bqkv, wo, bo, heads, is_pad):
@@ -516,8 +531,10 @@ def test_exported_rows_sum_to_one(tmp_path):
 def test_export_region_out_of_bounds_rejected(tmp_path):
     weights = np.full((4, 1, 16, 16), 1.0 / 16)
     rec = AttentionRecord(weights=weights, window=(1, 4, 4), grid=(1, 2, 2))
-    with pytest.raises(AutodiffError):
-        export_attention(rec, (0, 0, 0, 12), tmp_path / "attn")
+    for region in ((0, 0, 0, 12), (0, 0, 0, 0)):
+        with pytest.raises(AutodiffError):
+            export_attention(rec, region, tmp_path / "attn")
+        assert not (tmp_path / "attn.csv").exists()
 
 
 def test_config_invariants():
