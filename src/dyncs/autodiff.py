@@ -2,7 +2,8 @@
 
 A graph node is a `Tensor` built by ``Tensor.from_op`` over leaves, with a
 hand-written backward closure: the network `recon.recon_forward`, and
-`conv3d`, whose numpy helpers the network's convolutions call. The
+`conv3d`, whose numpy helpers the network's convolutions call; they lower
+each convolution to GEMMs against one `_shifts` matrix. The
 acquisition `nufft.acquire` is no node: it returns its output and a vjp, and
 `pipeline._fit` seeds that vjp with the gradients of the window leaves the
 network ran on. The losses are not nodes either: `pipeline.loss_main` and
@@ -65,22 +66,32 @@ class Tensor:
         backward(self, seed)
 
 
-def _columns(x, k):
-    """The im2col matrix of x [C,T,H,W] under "same" zero padding for odd
-    kernel extents k = (kt, kh, kw), as one [C*kh*kw, T*H*W] view per frame
-    shift dt, rows (c, dh, dw). It is built over the two spatial axes only:
-    the view of shift dt is the column range from dt*H*W of one
-    [C*kh*kw, (T+kt-1)*H*W] matrix over the time-padded volume."""
-    pad = [(0, 0)] + [(n // 2, n // 2) for n in k]
-    view = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), k[1:], axis=(2, 3))
-    hw, n = x[0, 0].size, x[0].size
-    cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(-1, n + (k[0] - 1) * hw)
-    return [cols[:, dt * hw:dt * hw + n] for dt in range(k[0])]
+def _shifts(x, k):
+    """The [C*kw, n] GEMM operands of x [C,T,H,W] under "same" zero padding
+    for odd kernel extents k = (kt, kh, kw), one per tap (dt, dh) in order,
+    and (Hp, Wp). They are column ranges of one MEC matrix, lowered along kw
+    only (Cho & Brand, arXiv 1706.06873): row (c, dw) is channel c of x,
+    padded to [T+kt-1, Hp, Wp] and flattened, from offset dw, so the matrix
+    is kw times the padded input. Output (t, i, j) is column
+    t*Hp*Wp + i*Wp + j, and tap (dt, dh) starts at dt*Hp*Wp + dh*Wp."""
+    kt, kh, kw = k
+    c, t, h, w = x.shape
+    hp, wp = h + kh - 1, w + kw - 1
+    xp = np.pad(x, [(0, 0)] + [(e // 2, e // 2) for e in k]).reshape(c, -1)
+    length = xp.shape[1] - kw + 1
+    m = np.empty((c, kw, length))
+    for dw in range(kw):
+        m[:, dw] = xp[:, dw:dw + length]
+    m, n = m.reshape(c * kw, length), (t - 1) * hp * wp + (h - 1) * wp + w
+    return [m[:, o:o + n] for o in ((dt * hp + dh) * wp for dt in range(kt)
+                                    for dh in range(kh))], (hp, wp)
 
 
 def conv3d_forward(x, w):
     """3D cross-correlation with "same" zero padding of arrays x [C_in,T,H,W]
-    and w [C_out, C_in, kt, kh, kw] with odd kernel extents: [C_out,T,H,W]."""
+    and w [C_out, C_in, kt, kh, kw] with odd kernel extents: [C_out,T,H,W].
+    One GEMM per tap (dt, dh) against its `_shifts` operand, summed on the
+    padded [T, Hp, Wp] grid, then cropped."""
     if x.ndim != 4 or w.ndim != 5:
         raise AutodiffError("conv3d expects x rank 4 and w rank 5")
     cout, cin, *k = w.shape
@@ -88,20 +99,31 @@ def conv3d_forward(x, w):
         raise AutodiffError(f"conv3d channel mismatch: {x.shape[0]} vs {cin}")
     if any(n % 2 == 0 for n in k):
         raise AutodiffError("conv3d kernel extents must be odd")
-    shifts = _columns(x, k)
-    out = w[:, :, 0].reshape(cout, -1) @ shifts[0]
-    for dt in range(1, k[0]):
-        out += w[:, :, dt].reshape(cout, -1) @ shifts[dt]
-    return out.reshape((cout,) + x.shape[1:])
+    operands, (hp, wp) = _shifts(x, k)
+    t, h, wd = x.shape[1:]
+    taps = w.reshape(cout, cin, -1, k[2])
+    out, prod = np.empty((cout, t * hp * wp)), np.empty((cout, operands[0].shape[1]))
+    acc = out[:, :prod.shape[1]]
+    for i, op in enumerate(operands):
+        np.matmul(taps[:, :, i].reshape(cout, -1), op, out=prod if i else acc)
+        if i:
+            acc += prod
+    return out.reshape(cout, t, hp, wp)[:, :, :h, :wd]
 
 
 def conv3d_grad_weight(g, x, w_shape):
-    """The gradient of `conv3d_forward(x, w)` in w for upstream g."""
-    cout, cin, _, kh, kw = w_shape
-    gw, g = np.empty(w_shape), g.reshape(cout, -1)
-    for dt, cols in enumerate(_columns(x, w_shape[2:])):
-        gw[:, :, dt] = (g @ cols.T).reshape(cout, cin, kh, kw)
-    return gw
+    """The gradient of `conv3d_forward(x, w)` in w for upstream g: g placed on
+    the padded grid of `_shifts`, zeros elsewhere, times each tap's operand."""
+    cout, cin, *k = w_shape
+    operands, (hp, wp) = _shifts(x, k)
+    t, h, wd = x.shape[1:]
+    gp = np.zeros((cout, t, hp, wp))
+    gp[:, :, :h, :wd] = g
+    gp = gp.reshape(cout, -1)[:, :operands[0].shape[1]]
+    gw = np.empty((cout, cin, len(operands), k[2]))
+    for i, op in enumerate(operands):
+        gw[:, :, i] = (gp @ op.T).reshape(cout, cin, k[2])
+    return gw.reshape(w_shape)
 
 
 def conv3d_grad_input(g, w):
@@ -111,10 +133,10 @@ def conv3d_grad_input(g, w):
 
 
 def conv3d(x, w):
-    """`conv3d_forward` as a graph node over the Tensors x and w. Each of the
-    output and the two gradients is one matmul per frame shift against
-    `_columns`, which the backward rebuilds; it skips the gradient of an
-    operand without grad."""
+    """`conv3d_forward` as a graph node over the Tensors x and w. The output
+    and each of the two gradients is one matmul per tap (dt, dh) against the
+    `_shifts` operands, which the backward rebuilds; it skips the gradient of
+    an operand without grad."""
     out = conv3d_forward(x.data, w.data)
 
     def back(g):

@@ -26,8 +26,9 @@ from . import data as dz
 from .autodiff import Tensor
 from . import metrics as qm
 from . import pipeline as pl
-from .recon import (ReconConfig, export_attention, init_recon_params, load_checkpoint,
-                    recon_forward, region_windows, save_checkpoint, window_grid)
+from .recon import (CheckpointMismatch, ReconConfig, export_attention, init_recon_params,
+                    load_checkpoint, recon_forward, region_windows, save_checkpoint,
+                    window_grid)
 from .trajectory import (PROJECTION_TOL, PhysicsConfig, export_trajectory, feasibility_report,
                          init_golden_angle, init_radial, kinematic_bounds, load_trajectory)
 
@@ -88,7 +89,8 @@ def _open_run(run_dir, refined):
     """The run's manifest, recon config, parameters, trajectory and the
     kinematic bounds it was exported under: the refined checkpoint and
     trajectory if `refined` and the run has them, else the pre-refine ones.
-    A trajectory that breaks its own bounds is a usage error."""
+    A checkpoint whose parameters its config does not build, and a
+    trajectory that breaks its own bounds, are usage errors."""
     run_dir = Path(run_dir)
     refined = refined and (run_dir / "checkpoint_refined.json").exists()
     suffix = "_refined" if refined else ""
@@ -96,7 +98,10 @@ def _open_run(run_dir, refined):
         if not (run_dir / name).exists():
             raise UsageError(f"no {name} in {run_dir}")
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
+    try:
+        rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
+    except CheckpointMismatch as exc:
+        raise UsageError(f"checkpoint{suffix}: {exc}") from exc
     traj, bounds = load_trajectory(run_dir / f"traj{suffix}")
     violation = max(feasibility_report(traj.coords, bounds))
     if violation > PROJECTION_TOL:

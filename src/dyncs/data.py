@@ -120,11 +120,17 @@ def save_dataset(path, volumes, provenance=None):
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
     for i, v in enumerate(volumes):
         (path / f"vol_{i}.f64").write_bytes(v.astype("<f8").tobytes())
+    # a larger dataset saved here before leaves volumes `load_dataset` refuses
+    i = len(volumes)
+    while (path / f"vol_{i}.f64").exists():
+        (path / f"vol_{i}.f64").unlink()
+        i += 1
 
 
 def load_dataset(path) -> tuple[list[np.ndarray], str]:
     """The volumes and the dataset's digest: SHA-256 over the bytes read, the
-    manifest's, then each volume file's in order."""
+    manifest's, then each volume file's in order. A volume file beyond the
+    manifest's count is an error, since the digest would not cover it."""
     path = Path(path)
     manifest_file = path / MANIFEST_NAME
     if not manifest_file.exists():
@@ -145,6 +151,8 @@ def load_dataset(path) -> tuple[list[np.ndarray], str]:
         if not np.all(np.isfinite(v)):
             raise DataError(f"vol_{i}.f64 contains non-finite values")
         volumes.append(v)
+    if (path / f"vol_{manifest['count']}.f64").exists():
+        raise DataError(f"vol_{manifest['count']}.f64 lies beyond the manifest's count")
     return volumes, digest.hexdigest()
 
 

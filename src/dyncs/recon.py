@@ -283,8 +283,13 @@ def _block_params(P, i):
 
 # windows per transformer-block call: one [windows, heads, N, N] float64
 # array of the chunk stays near this size, so the attention temporaries are
-# cache-sized rather than full-volume (cf. metrics._CHUNK_BYTES)
-_CHUNK_BYTES = 2 ** 20
+# cache-sized rather than full-volume (cf. metrics._CHUNK_BYTES). 256 kB,
+# not 1 MB: glibc trims its heap top beyond twice the largest mmapped block
+# freed, now a conv's shift matrix (2.7 MB at c16, grid 32), and 1 MB
+# temporaries were returned to the kernel and faulted back in every round
+# (20 s runs: train-fixed-32 ~44k minor faults a round against ~14k at
+# 256 kB, and 9-23% fewer eval frames/s on it and on extend-27)
+_CHUNK_BYTES = 2 ** 18
 
 
 def _chunks(tokens, heads, mask):
@@ -324,8 +329,8 @@ def _net_forward(x, P, cfg: ReconConfig, record):
                                            window_grid(h.shape[1:], cfg.window),
                                            block_index=i))
         y = window_unpartition(win, cfg.window, xp.shape)[crop]
-        # free the block's arrays before the residual conv builds its im2col;
-        # the backward recomputes the block's activations
+        # free the block's arrays before the residual conv builds its shift
+        # matrix; the backward recomputes the block's activations
         del xp, tokens, win, acts
         saved.append((h, y))
         h = y + ad.conv3d_forward(y, P[f"block{i}.conv.w"]) + P[f"block{i}.conv.b"]
@@ -362,7 +367,7 @@ def _net_backward(g, x, P, cfg: ReconConfig, saved, input_grad, param_grads):
             gp = [a + b for a, b in zip(gp, gps)]  # summed in chunk order
         grads.update((f"block{i}.{name}", gv) for name, gv in zip(BLOCK_PARAMS, gp))
         gh = window_unpartition(gwin, cfg.window, xp.shape)[crop]
-        del xp, tokens, gtokens, gwin, gps  # before the next conv's im2col
+        del xp, tokens, gtokens, gwin, gps  # before the next conv's shift matrix
     return conv("conv_in", gh, x, input_grad), grads
 
 
@@ -397,6 +402,10 @@ def recon_forward(z_regrid: Tensor, cfg: ReconConfig, params: dict,
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointMismatch(AutodiffError):
+    """A checkpoint whose parameters are not those its config builds."""
+
+
 def save_checkpoint(path, cfg: ReconConfig, params: dict):
     """<path>.json manifest + <path>.bin little-endian float64 blob."""
     path = Path(path)
@@ -409,11 +418,21 @@ def save_checkpoint(path, cfg: ReconConfig, params: dict):
 
 
 def load_checkpoint(path):
+    """(config, parameters) of a `save_checkpoint` pair. Parameters other
+    than the names and shapes `init_recon_params` builds from the config, in
+    the order `save_checkpoint` writes them, raise `CheckpointMismatch`."""
     path = Path(path)
     manifest = json.loads(path.with_suffix(".json").read_text())
     if manifest["version"] != CHECKPOINT_VERSION:
         raise AutodiffError(f"unsupported checkpoint version {manifest['version']}")
     cfg = ReconConfig(**manifest["config"])
+    expected = init_recon_params(cfg, np.random.default_rng(0))
+    declared = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
+    if declared != [(n, expected[n].shape) for n in sorted(expected)]:
+        missing = sorted(set(expected) - {n for n, _ in declared})
+        raise CheckpointMismatch(
+            f"the parameters are not those its config builds, {cfg}"
+            + (f" (missing {', '.join(missing)})" if missing else ""))
     blob = path.with_suffix(".bin").read_bytes()
     params, offset = {}, 0
     for entry in manifest["params"]:

@@ -255,6 +255,25 @@ def test_conv3d_helpers_match_loop_oracles(seed, cin, cout, kernel, volume):
                                rtol=1e-12, atol=1e-12)
 
 
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.tuples(_ODD, _ODD, _ODD),
+       st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)))
+@example(0, 3, 2, (5, 3, 1), (1, 3, 4))  # one frame under a five-frame kernel
+def test_conv3d_helpers_are_adjoint(seed, cin, cout, kernel, volume):
+    # <conv(x, w), g> = <x, grad_input(g, w)> = <w, grad_weight(g, x)>: the
+    # forward is linear in x and in w, and each helper is its transpose
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(cin,) + volume)
+    w = rng.normal(size=(cout, cin) + kernel)
+    g = rng.normal(size=(cout,) + volume)
+    terms = [ad.conv3d_forward(x, w) * g, x * ad.conv3d_grad_input(g, w),
+             w * ad.conv3d_grad_weight(g, x, w.shape)]
+    ref, scale = terms[0].sum(), np.abs(terms[0]).sum()
+    for term in terms[1:]:
+        assert abs(term.sum() - ref) <= 1e-12 * scale
+
+
 def test_conv3d_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
     w = Tensor(rng.normal(size=(2, 1, 3, 3, 3)), requires_grad=True)
@@ -283,16 +302,30 @@ def test_conv3d_graph_keeps_no_columns():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # the im2col columns are 27x the input; the node may keep its output only
+    # the shift matrix is 3x the padded input; the node may keep its output only
     assert held < 3 * out.data.nbytes
     out.backward()
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+def test_conv3d_forward_peak_memory_is_a_few_inputs():
+    # conv_out at c8, grid 64: x is 1 MB, the padded volume 1.7 MB; a
+    # 9-fold im2col matrix alone was 14 MB
+    rng = np.random.default_rng(13)
+    x, w = rng.normal(size=(8, 4, 64, 64)), rng.normal(size=(1, 8, 3, 3, 3))
+    tracemalloc.start()
+    try:
+        ad.conv3d_forward(x, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
 def test_conv3d_skips_input_gradient_of_constant_input(monkeypatch):
     calls = []
-    columns = ad._columns
-    monkeypatch.setattr(ad, "_columns", lambda x, k: calls.append(1) or columns(x, k))
+    shifts = ad._shifts
+    monkeypatch.setattr(ad, "_shifts", lambda x, k: calls.append(1) or shifts(x, k))
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(2, 3, 4, 4)))
     w = Tensor(rng.normal(size=(3, 2, 3, 3, 3)), requires_grad=True)

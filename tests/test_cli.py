@@ -420,6 +420,27 @@ def test_run_with_an_infeasible_trajectory_is_usage_error(dataset, run_dir, tmp_
     assert not list(tmp_path.glob("out*")) and not list(run.glob("*_refined.*"))
 
 
+@pytest.mark.parametrize("edit", ["renamed-parameter", "channels"])
+def test_run_whose_config_does_not_build_its_checkpoint_is_usage_error(
+        dataset, run_dir, tmp_path, capsys, monkeypatch, edit):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    checkpoint = json.loads((run / "checkpoint.json").read_text())
+    if edit == "renamed-parameter":
+        entry = next(e for e in checkpoint["params"] if e["name"] == "block0.ln1.g")
+        entry["name"] = "block0.ln1.gamma"
+    else:  # the blob still holds 4-channel weights
+        checkpoint["config"]["channels"] = 8
+    (run / "checkpoint.json").write_text(json.dumps(checkpoint))
+    _no_compute(monkeypatch)
+    rc = main(["stack-eval", "--run", str(run), "--data", str(dataset),
+               "--total-frames", "12", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "usage" and "checkpoint" in err["message"]
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_second_refine_replaces_refine_rows(dataset, run_dir, tmp_path):
     run = tmp_path / "run"
     shutil.copytree(run_dir, run)

@@ -1,6 +1,7 @@
 """Tests for phantom generation and the dataset file format."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_truncated_blob_detected(tmp_path):
     (tmp_path / "ds" / "vol_0.f64").write_bytes(blob[:-16])
     with pytest.raises(DataError):
         load_dataset(tmp_path / "ds")
+
+
+def test_volume_beyond_the_manifest_count_detected(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(ds, gen_dataset(3, grid=(8, 8), frames=2, seed=2))
+    manifest = json.loads((ds / "manifest.json").read_text())
+    manifest["count"] = 2
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="vol_2.f64"):
+        load_dataset(ds)
+
+
+def test_saving_fewer_volumes_over_a_dataset_removes_the_rest(tmp_path):
+    ds = tmp_path / "ds"
+    save_dataset(ds, gen_dataset(3, grid=(8, 8), frames=2, seed=2))
+    save_dataset(ds, gen_dataset(1, grid=(8, 8), frames=2, seed=3))
+    assert len(load_dataset(ds)[0]) == 1 and not (ds / "vol_1.f64").exists()
 
 
 def test_missing_manifest_detected(tmp_path):
