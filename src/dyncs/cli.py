@@ -85,11 +85,17 @@ def _flag_config(args, parser):
             if a.dest not in ("help", "data", "out", "run", "config")}
 
 
+def _recon_config(flags):
+    """The network that `train`'s flags, or a run manifest's record of them, build."""
+    window = [int(v) for v in flags["window"].split(",")]
+    return ReconConfig(flags["channels"], flags["blocks"], flags["heads"], window)
+
+
 def _open_run(run_dir, refined):
     """The run's manifest, recon config, parameters, trajectory and the
     kinematic bounds it was exported under: the refined checkpoint and
     trajectory if `refined` and the run has them, else the pre-refine ones.
-    A checkpoint whose parameters its config does not build, and a
+    A checkpoint that is not the network the run's flags build, and a
     trajectory that breaks its own bounds, are usage errors."""
     run_dir = Path(run_dir)
     refined = refined and (run_dir / "checkpoint_refined.json").exists()
@@ -102,6 +108,8 @@ def _open_run(run_dir, refined):
         rcfg, params = load_checkpoint(run_dir / f"checkpoint{suffix}")
     except CheckpointMismatch as exc:
         raise UsageError(f"checkpoint{suffix}: {exc}") from exc
+    if rcfg != _recon_config(manifest["config"]):
+        raise UsageError(f"checkpoint{suffix}: {rcfg} is not the network of the run's flags")
     traj, bounds = load_trajectory(run_dir / f"traj{suffix}")
     violation = max(feasibility_report(traj.coords, bounds))
     if violation > PROJECTION_TOL:
@@ -159,8 +167,7 @@ def _load_config_overrides(args, parser):
 def cmd_train(args, parser):
     _load_config_overrides(args, parser)
     with _flags("network flags"):
-        rcfg = ReconConfig(channels=args.channels, n_blocks=args.blocks, heads=args.heads,
-                           window=tuple(int(v) for v in args.window.split(",")))
+        rcfg = _recon_config(vars(args))
     if args.epochs < 1:
         raise UsageError("--epochs must be at least 1")
     with _flags("training flags"):
@@ -227,14 +234,14 @@ def cmd_refine(args, parser):
     print(f"refined run in {run_dir} (mu_X = {mu_x:.6g})")
 
 
-def cmd_stack_eval(args, plain=False):
-    if not plain and args.total_frames < 1:
+def cmd_stack_eval(args):
+    if args.total_frames is not None and args.total_frames < 1:
         raise UsageError("--total-frames must be >= 1")
     _, rcfg, params, traj, bounds = _open_run(args.run, not args.use_pre_refine)
     k = traj.coords.shape[0]
     volumes, digest, _ = _load_data(args.data, 0, bounds)  # any length: tiled to `total`
     _check_metric_frames(volumes)
-    total = k if plain else args.total_frames
+    total = args.total_frames or k
 
     out_dir = Path(args.out) if args.out else Path(args.run) / f"eval_{total}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,15 +366,14 @@ def build_parser():
     p.add_argument("--freeze-theta", action="store_true")
     p.set_defaults(func=functools.partial(cmd_refine, parser=p))
 
-    for name, plain in (("eval", True), ("stack-eval", False)):
-        p = sub.add_parser(name, help="evaluate a trained run")
-        p.add_argument("--run", required=True)
-        p.add_argument("--data", required=True)
-        p.add_argument("--out")
-        p.add_argument("--use-pre-refine", action="store_true")
-        if not plain:
-            p.add_argument("--total-frames", type=int, required=True)
-        p.set_defaults(func=functools.partial(cmd_stack_eval, plain=plain))
+    p = sub.add_parser("stack-eval", aliases=["eval"],
+                       help="evaluate a trained run on stacked trajectories")
+    p.add_argument("--run", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out")
+    p.add_argument("--use-pre-refine", action="store_true")
+    p.add_argument("--total-frames", type=int, help="default: the run's k")
+    p.set_defaults(func=cmd_stack_eval)
 
     p = sub.add_parser("export", help="export trajectory or attention data")
     p.add_argument("--run", required=True)

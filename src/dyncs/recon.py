@@ -427,26 +427,21 @@ def load_checkpoint(path):
         raise AutodiffError(f"unsupported checkpoint version {manifest['version']}")
     cfg = ReconConfig(**manifest["config"])
     expected = init_recon_params(cfg, np.random.default_rng(0))
+    names = sorted(expected)
     declared = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-    if declared != [(n, expected[n].shape) for n in sorted(expected)]:
+    if declared != [(n, expected[n].shape) for n in names]:
         missing = sorted(set(expected) - {n for n, _ in declared})
         raise CheckpointMismatch(
             f"the parameters are not those its config builds, {cfg}"
             + (f" (missing {', '.join(missing)})" if missing else ""))
+    sizes = [expected[n].data.size for n in names]
     blob = path.with_suffix(".bin").read_bytes()
-    params, offset = {}, 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        chunk = blob[offset:offset + 8 * count]
-        if len(chunk) != 8 * count:
-            raise AutodiffError("checkpoint blob truncated")
-        params[entry["name"]] = Tensor(
-            np.frombuffer(chunk, dtype="<f8").reshape(shape).copy(), requires_grad=True)
-        offset += 8 * count
-    if offset != len(blob):
-        raise AutodiffError("checkpoint blob larger than manifest declares")
-    return cfg, params
+    if len(blob) != 8 * sum(sizes):
+        raise AutodiffError("checkpoint blob truncated" if len(blob) < 8 * sum(sizes)
+                            else "checkpoint blob larger than manifest declares")
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    return cfg, {n: Tensor(a.reshape(expected[n].shape), requires_grad=True)
+                 for n, a in zip(names, np.split(values, np.cumsum(sizes)[:-1]))}
 
 
 def region_windows(region, window, grid):

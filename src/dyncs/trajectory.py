@@ -233,8 +233,9 @@ def export_trajectory(k: Trajectory, path, bounds: KinematicBounds):
 
 def load_trajectory(path) -> tuple[Trajectory, KinematicBounds]:
     """Read back an `export_trajectory` pair: the trajectory and the bounds it
-    was exported under. Every (frame, shot, index) row must appear exactly
-    once, with five fields, and the table must end in a line end, so a file
+    was exported under. The table holds one row per point in the order
+    `export_trajectory` writes them: row i has five fields and is the i-th
+    (frame, shot, index) of `np.ndindex`. It must end in a line end, so a file
     cut inside its last row is an error."""
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
@@ -242,24 +243,17 @@ def load_trajectory(path) -> tuple[Trajectory, KinematicBounds]:
         raise TrajectoryError(f"{path.with_suffix('.json')} records no kinematic bounds")
     bounds = KinematicBounds(**meta["bounds"])
     shape = (meta["n_frames"], meta["n_shots"], meta["points_per_shot"])
-    coords = np.zeros(shape + (2,))
-    seen = np.zeros(shape, dtype=bool)
     with open(path.with_suffix(".csv"), newline="") as fh:
         text = fh.read()
     if not text.endswith("\n"):
         raise TrajectoryError(f"{path.with_suffix('.csv')} is cut inside its last row")
-    for row in list(csv.reader(text.splitlines()))[1:]:
-        if len(row) != 5:
-            raise TrajectoryError(f"row {row} has {len(row)} fields, not 5")
-        idx = tuple(int(v) for v in row[:3])
-        if not all(0 <= i < n for i, n in zip(idx, shape)):
-            raise TrajectoryError(f"row (frame, shot, index) = {idx} outside {shape}")
-        if seen[idx]:
-            raise TrajectoryError(f"duplicate row (frame, shot, index) = {idx}")
-        seen[idx] = True
-        coords[idx] = (float(row[3]), float(row[4]))
-    if not seen.all():
-        first = tuple(int(i) for i in np.argwhere(~seen)[0])
-        raise TrajectoryError(f"{int((~seen).sum())} rows missing, first "
-                              f"(frame, shot, index) = {first}")
-    return Trajectory(coords, learnable=meta.get("learnable", True)), bounds
+    rows, n = list(csv.reader(text.splitlines()))[1:], int(np.prod(shape))
+    if len(rows) != n:
+        raise TrajectoryError(f"{len(rows)} rows for the {n} points of {shape}: "
+                              + ("rows missing" if len(rows) < n else "duplicate or extra rows"))
+    for i, (row, idx) in enumerate(zip(rows, np.ndindex(shape))):
+        if len(row) != 5 or tuple(int(v) for v in row[:3]) != idx:
+            raise TrajectoryError(f"row {i} is {row}, not (frame, shot, index) = {idx} and "
+                                  f"(kx, ky): out of export order, or outside {shape}")
+    coords = np.array([(float(row[3]), float(row[4])) for row in rows]).reshape(shape + (2,))
+    return Trajectory(coords, learnable=meta["learnable"]), bounds

@@ -3,6 +3,7 @@
 import argparse
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,7 +421,7 @@ def test_run_with_an_infeasible_trajectory_is_usage_error(dataset, run_dir, tmp_
     assert not list(tmp_path.glob("out*")) and not list(run.glob("*_refined.*"))
 
 
-@pytest.mark.parametrize("edit", ["renamed-parameter", "channels"])
+@pytest.mark.parametrize("edit", ["renamed-parameter", "channels", "heads", "window"])
 def test_run_whose_config_does_not_build_its_checkpoint_is_usage_error(
         dataset, run_dir, tmp_path, capsys, monkeypatch, edit):
     run = tmp_path / "run"
@@ -429,8 +430,9 @@ def test_run_whose_config_does_not_build_its_checkpoint_is_usage_error(
     if edit == "renamed-parameter":
         entry = next(e for e in checkpoint["params"] if e["name"] == "block0.ln1.g")
         entry["name"] = "block0.ln1.gamma"
-    else:  # the blob still holds 4-channel weights
-        checkpoint["config"]["channels"] = 8
+    else:  # the blob holds 4-channel weights; heads and window change no
+        # shape, so only the run's flags (--heads 2 --window 2,2,2) tell
+        checkpoint["config"][edit] = {"channels": 8, "heads": 4, "window": [2, 4, 4]}[edit]
     (run / "checkpoint.json").write_text(json.dumps(checkpoint))
     _no_compute(monkeypatch)
     rc = main(["stack-eval", "--run", str(run), "--data", str(dataset),
@@ -438,6 +440,43 @@ def test_run_whose_config_does_not_build_its_checkpoint_is_usage_error(
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "usage" and "checkpoint" in err["message"]
+    assert not list(tmp_path.glob("out*"))
+
+
+_NAN = np.float64(np.nan).tobytes()
+
+
+def _swap_rows_1_and_2(table):
+    rows = table.split(b"\r\n")
+    rows[1], rows[2] = rows[2], rows[1]
+    return b"\r\n".join(rows)
+
+
+@pytest.mark.parametrize("name, edit, error, message", [
+    ("checkpoint.json", lambda b: b.replace(b'"version": 1', b'"version": 2'),
+     "AutodiffError", "unsupported checkpoint version 2"),
+    ("checkpoint.bin", lambda b: _NAN + b[8:], "AutodiffError", "non-finite values in tensor"),
+    ("checkpoint.bin", lambda b: b + bytes(8), "AutodiffError",
+     "checkpoint blob larger than manifest declares"),
+    ("vol_1.f64", lambda b: _NAN + b[8:], "DataError", "vol_1.f64 contains non-finite values"),
+    ("traj.csv", _swap_rows_1_and_2, "TrajectoryError", "out of export order"),
+], ids=["checkpoint-version", "checkpoint-nan", "checkpoint-longer", "volume-nan",
+        "trajectory-rows-swapped"])
+def test_corrupted_run_or_data_fails_with_its_named_error(
+        dataset, run_dir, tmp_path, capsys, monkeypatch, name, edit, error, message):
+    run, data = tmp_path / "run", tmp_path / "data"
+    shutil.copytree(run_dir, run)
+    shutil.copytree(dataset, data)
+    path = (data if name.startswith("vol_") else run) / name
+    original = path.read_bytes()
+    path.write_bytes(edit(original))
+    assert path.read_bytes() != original
+    _no_compute(monkeypatch)
+    rc = main(["stack-eval", "--run", str(run), "--data", str(data),
+               "--total-frames", "12", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error and message in err["message"]
     assert not list(tmp_path.glob("out*"))
 
 
@@ -507,6 +546,20 @@ def test_stack_eval_at_k_equals_plain_eval(dataset, run_dir, tmp_path, capsys):
     for i in range(3):
         assert ((plain / "reconstructions" / f"vol_{i}.f64").read_bytes()
                 == (stacked / "reconstructions" / f"vol_{i}.f64").read_bytes())
+
+
+def test_eval_is_stack_eval_at_k_in_eval_k(dataset, run_dir, tmp_path, capsys):
+    # `eval` names the same subcommand; --total-frames defaults to the run's k
+    trees = []
+    for command in ("eval", "stack-eval"):
+        run = tmp_path / command
+        shutil.copytree(run_dir, run)
+        assert main([command, "--run", str(run), "--data", str(dataset)]) == 0
+        trees.append({path.relative_to(run): path.read_bytes()
+                      for path in run.glob("eval_*/**/*") if path.is_file()})
+    capsys.readouterr()
+    assert trees[0] == trees[1]
+    assert _strict_json(trees[0][Path("eval_4/metrics.json")].decode())["total_frames"] == 4
 
 
 def test_stack_eval_use_pre_refine_ignores_the_refine(dataset, tmp_path, capsys):
